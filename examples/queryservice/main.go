@@ -44,15 +44,14 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand/v2"
 	"net"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"fullview"
+	"fullview/internal/backoff"
 )
 
 // The JSON wire types a client speaks to fvcd.
@@ -472,14 +471,10 @@ func retryableStatus(code int) bool {
 // with ±50% jitter, so a fleet of clients that failed together does not
 // retry together.
 func (p retryPolicy) backoff(attempt int, retryAfter string) time.Duration {
-	if s, err := strconv.ParseFloat(strings.TrimSpace(retryAfter), 64); err == nil && s >= 0 {
-		return time.Duration(s * float64(time.Second))
+	if d, ok := backoff.ParseRetryAfter(retryAfter); ok {
+		return d
 	}
-	d := p.base << attempt
-	if d > p.cap {
-		d = p.cap
-	}
-	return d/2 + time.Duration(rand.Int64N(int64(d)))
+	return backoff.Jitter(backoff.Capped(p.base, p.cap, attempt), 0.5)
 }
 
 // postJSON posts v as JSON under the retry policy and decodes the

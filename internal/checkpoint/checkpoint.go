@@ -10,26 +10,24 @@
 //
 // # Durability
 //
-// Every write replaces the journal atomically: the full contents go to
-// a temporary file in the same directory, the file is fsynced, and the
-// temporary is renamed over the journal (rename within a directory is
-// atomic on POSIX filesystems). A crash or kill at any instant
-// therefore leaves either the previous journal or the new one — never a
-// torn line. Loading additionally tolerates a truncated final line, so
-// journals written by foreign tools or damaged by filesystem loss still
-// resume from their intact prefix.
+// Every write replaces the journal with internal/jsonlog's atomic
+// rewrite, so a crash or kill at any instant leaves either the previous
+// journal or the new one — never a torn line. Loading follows jsonlog's
+// replay rules: a truncated final line is dropped, so journals written
+// by foreign tools or damaged by filesystem loss still resume from
+// their intact prefix.
 package checkpoint
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
+
+	"fullview/internal/jsonlog"
 )
 
 // Version is the journal format version written to new headers.
@@ -118,71 +116,36 @@ func Open(path string, h Header) (*Journal, error) {
 	return j, nil
 }
 
+// codec is the checkpoint journal format: a Header line, then one
+// record per journaled trial. Unknown fields are ignored.
+var codec = jsonlog.Codec[Header, record]{
+	CheckHeader: func(h *Header) error {
+		if h.Version != Version {
+			return fmt.Errorf("unsupported version %d", h.Version)
+		}
+		return nil
+	},
+	CheckRecord: func(r *record) error {
+		if r.Result == nil {
+			return errors.New("record without result")
+		}
+		return nil
+	},
+}
+
 // parse decodes a journal image into its header and records. The final
 // line is allowed to be torn (truncated mid-write by a foreign writer);
 // any earlier malformed line is ErrCorrupt.
 func parse(data []byte) (Header, map[int]json.RawMessage, error) {
 	var h Header
 	results := make(map[int]json.RawMessage)
-	if len(data) == 0 {
-		return h, nil, fmt.Errorf("%w: empty journal", ErrCorrupt)
-	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(nil, 64<<20)
-	lineEnd := 0 // byte offset just past the last line consumed
-	if !sc.Scan() {
-		return h, nil, fmt.Errorf("%w: missing header", ErrCorrupt)
-	}
-	headerLine := sc.Bytes()
-	lineEnd += len(headerLine) + 1
-	if err := strictUnmarshal(headerLine, &h); err != nil {
-		return h, nil, fmt.Errorf("%w: bad header: %v", ErrCorrupt, err)
-	}
-	if h.Version != Version {
-		return h, nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, h.Version)
-	}
-	line := 1
-	for sc.Scan() {
-		raw := sc.Bytes()
-		lineEnd += len(raw) + 1
-		line++
-		if len(bytes.TrimSpace(raw)) == 0 {
-			continue
-		}
-		var rec record
-		if err := strictUnmarshal(raw, &rec); err != nil {
-			// A defective *final* line is a torn write: drop it and keep
-			// the intact prefix. Interior damage is real corruption.
-			if lineEnd >= len(data) {
-				break
-			}
-			return h, nil, fmt.Errorf("%w: line %d: %v", ErrCorrupt, line+1, err)
-		}
-		if rec.Result == nil {
-			if lineEnd >= len(data) {
-				break
-			}
-			return h, nil, fmt.Errorf("%w: line %d: record without result", ErrCorrupt, line+1)
-		}
+	if _, err := codec.Replay(data, &h, func(rec record) error {
 		results[rec.Trial] = rec.Result
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	}); err != nil {
 		return h, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return h, results, nil
-}
-
-// strictUnmarshal decodes one JSON document and rejects trailing data,
-// so a line holding two concatenated objects cannot pass as valid.
-func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("trailing data after JSON document")
-	}
-	return nil
 }
 
 // Path returns the journal's file path.
@@ -240,7 +203,7 @@ func (j *Journal) Get(trial int, out any) (bool, error) {
 }
 
 // Record journals a completed trial's result and flushes the journal
-// atomically (temp file in the target directory, fsync, rename).
+// atomically (jsonlog.WriteAtomic).
 // Results must round-trip through encoding/json; non-finite floats are
 // rejected by Marshal, which is intentional — run numeric-health checks
 // before journaling. Re-recording an already-journaled trial with an
@@ -275,59 +238,32 @@ func (j *Journal) Record(trial int, result any) error {
 // flushLocked writes the full journal image atomically. Callers hold
 // j.mu.
 func (j *Journal) flushLocked() error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(j.header); err != nil {
-		return fmt.Errorf("checkpoint: encode header: %w", err)
-	}
-	// Deterministic record order: ascending trial index.
-	for i := 0; i < j.header.Trials; i++ {
-		raw, ok := j.results[i]
-		if !ok {
-			continue
-		}
-		if err := enc.Encode(record{Trial: i, Result: raw}); err != nil {
-			return fmt.Errorf("checkpoint: encode trial %d: %w", i, err)
-		}
-	}
-	return writeAtomic(j.path, buf.Bytes())
-}
-
-// writeAtomic replaces path with data via temp-file + fsync + rename in
-// the destination directory.
-func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	image, err := j.imageLocked()
 	if err != nil {
-		return fmt.Errorf("checkpoint: create temp: %w", err)
+		return fmt.Errorf("checkpoint: encode: %w", err)
 	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(data); err != nil {
-		return fmt.Errorf("checkpoint: write temp: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: fsync temp: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: close temp: %w", err)
-	}
-	name := tmp.Name()
-	tmp = nil
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("checkpoint: rename: %w", err)
-	}
-	// Persist the directory entry so the rename survives power loss.
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+	if err := jsonlog.WriteAtomic(j.path, image); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil
+}
+
+// imageLocked encodes the header and the records in ascending trial
+// order. Callers hold j.mu.
+func (j *Journal) imageLocked() ([]byte, error) {
+	var buf bytes.Buffer
+	w := jsonlog.NewWriter(&buf)
+	if err := w.Line(j.header); err != nil {
+		return nil, err
+	}
+	for i := 0; i < j.header.Trials; i++ {
+		if raw, ok := j.results[i]; ok {
+			if err := w.Line(record{Trial: i, Result: raw}); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return buf.Bytes(), nil
 }
 
 // Complete reports whether every trial is journaled.
@@ -363,18 +299,11 @@ func (j *Journal) Remove() error {
 // in trial order); it is the exact byte content flushes write.
 func (j *Journal) WriteTo(w io.Writer) (int64, error) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(j.header); err != nil {
+	image, err := j.imageLocked()
+	j.mu.Unlock()
+	if err != nil {
 		return 0, err
 	}
-	for i := 0; i < j.header.Trials; i++ {
-		if raw, ok := j.results[i]; ok {
-			if err := enc.Encode(record{Trial: i, Result: raw}); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return buf.WriteTo(w)
+	n, err := w.Write(image)
+	return int64(n), err
 }

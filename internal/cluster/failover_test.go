@@ -179,7 +179,7 @@ func TestRouterBackoff(t *testing.T) {
 			t.Errorf("backoff(0, %q) = %s, want %s", tc.retryAfter, got, tc.want)
 		}
 	}
-	for _, garbage := range []string{"", "soon", "-1", "1h", "NaN"} {
+	for _, garbage := range []string{"", "soon", "-1", "1h", "NaN", "Inf", "+Inf", "1e300", "1e10"} {
 		for attempt := 0; attempt < 5; attempt++ {
 			d := rt.cfg.BackoffBase << attempt
 			if d > rt.cfg.BackoffCap {

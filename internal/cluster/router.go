@@ -7,14 +7,13 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand/v2"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"fullview/internal/backoff"
 	"fullview/internal/telemetry"
 )
 
@@ -582,23 +581,20 @@ func (rt *Router) forwardRead(w http.ResponseWriter, r *http.Request, key string
 // unavailable answers the router's own 503 with the cluster-uniform
 // jittered Retry-After.
 func (rt *Router) unavailable(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", retryAfterValue())
+	// The replicas' Retry-After contract: 1 second ±20%.
+	w.Header().Set("Retry-After", backoff.FormatRetryAfter(backoff.Jitter(time.Second, 0.2)))
 	writeError(w, http.StatusServiceUnavailable, msg)
 }
 
 // backoff computes the wait before the next attempt: the shard's
-// Retry-After verbatim when it sent one (fractional seconds, matching
-// the replicas' jittered contract), otherwise capped exponential
-// growth with ±50% jitter.
+// Retry-After verbatim when it sent a usable one (fractional seconds,
+// matching the replicas' jittered contract), otherwise capped
+// exponential growth with ±50% jitter.
 func (rt *Router) backoff(attempt int, retryAfter string) time.Duration {
-	if s, err := strconv.ParseFloat(strings.TrimSpace(retryAfter), 64); err == nil && s >= 0 {
-		return time.Duration(s * float64(time.Second))
+	if d, ok := backoff.ParseRetryAfter(retryAfter); ok {
+		return d
 	}
-	d := rt.cfg.BackoffBase << attempt
-	if d > rt.cfg.BackoffCap {
-		d = rt.cfg.BackoffCap
-	}
-	return d/2 + time.Duration(rand.Int64N(int64(d)))
+	return backoff.Jitter(backoff.Capped(rt.cfg.BackoffBase, rt.cfg.BackoffCap, attempt), 0.5)
 }
 
 // sleep waits for d or until ctx is cancelled.
@@ -737,13 +733,6 @@ func (rt *Router) logf(format string, args ...any) {
 	if rt.cfg.Logger != nil {
 		rt.cfg.Logger.Printf(format, args...)
 	}
-}
-
-// retryAfterValue mirrors the replicas' Retry-After contract: 1 second
-// ±20% jitter, formatted as fractional seconds.
-func retryAfterValue() string {
-	v := 1 + 0.2*(2*rand.Float64()-1)
-	return strconv.FormatFloat(v, 'f', 2, 64)
 }
 
 // hopHeaders are the per-connection headers stripped when relaying a

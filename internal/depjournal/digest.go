@@ -3,7 +3,8 @@ package depjournal
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
+
+	"fullview/internal/jsonlog"
 )
 
 // DigestInfo summarizes one deployment's journaled content for
@@ -29,7 +30,7 @@ type DigestInfo struct {
 // digestDep hashes one canonicalized deployment's record lines.
 func digestDep(st stagedDep) (DigestInfo, error) {
 	h := sha256.New()
-	if _, err := encodeDep(json.NewEncoder(h), st); err != nil {
+	if err := encodeDep(jsonlog.NewWriter(h), st); err != nil {
 		return DigestInfo{}, err
 	}
 	return DigestInfo{

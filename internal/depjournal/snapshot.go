@@ -1,9 +1,10 @@
 package depjournal
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+
+	"fullview/internal/jsonlog"
 )
 
 // stagedDep is one deployment staged for snapshot encoding: the values
@@ -53,20 +54,17 @@ func canonicalize(d stagedDep, materialize MaterializeFunc) stagedDep {
 	return d
 }
 
-// encodeDep writes one canonicalized deployment's record lines to enc
-// and returns the line count.
-func encodeDep(enc *json.Encoder, st stagedDep) (int64, error) {
-	if err := enc.Encode(st.reg); err != nil {
-		return 0, fmt.Errorf("depjournal: encode record %s: %w", st.reg.ID, err)
+// encodeDep writes one canonicalized deployment's record lines to w.
+func encodeDep(w *jsonlog.Writer, st stagedDep) error {
+	if err := w.Line(st.reg); err != nil {
+		return fmt.Errorf("depjournal: encode record %s: %w", st.reg.ID, err)
 	}
-	lines := int64(1)
 	for i := range st.muts {
-		if err := enc.Encode(st.muts[i]); err != nil {
-			return 0, fmt.Errorf("depjournal: encode record %s: %w", st.reg.ID, err)
+		if err := w.Line(st.muts[i]); err != nil {
+			return fmt.Errorf("depjournal: encode record %s: %w", st.reg.ID, err)
 		}
-		lines++
 	}
-	return lines, nil
+	return nil
 }
 
 // encodeSnapshot writes the compacted snapshot image of deps to w:
@@ -76,35 +74,18 @@ func encodeDep(enc *json.Encoder, st stagedDep) (int64, error) {
 // snapshot always replays through Open exactly like a freshly
 // compacted journal. Returns the staged states as written (so
 // compaction can commit them) and the record line count.
-func encodeSnapshot(w io.Writer, deps []stagedDep, materialize MaterializeFunc) ([]stagedDep, int64, error) {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(header{Version: Version, Kind: Kind}); err != nil {
+func encodeSnapshot(w *jsonlog.Writer, deps []stagedDep, materialize MaterializeFunc) ([]stagedDep, int64, error) {
+	if err := w.Line(header{Version: Version, Kind: Kind}); err != nil {
 		return nil, 0, fmt.Errorf("depjournal: encode header: %w", err)
 	}
-	var lines int64
 	out := make([]stagedDep, len(deps))
 	for di, d := range deps {
-		st := canonicalize(d, materialize)
-		n, err := encodeDep(enc, st)
-		if err != nil {
+		out[di] = canonicalize(d, materialize)
+		if err := encodeDep(w, out[di]); err != nil {
 			return nil, 0, err
 		}
-		lines += n
-		out[di] = st
 	}
-	return out, lines, nil
-}
-
-// countWriter counts the bytes passed through to w.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+	return out, w.Lines() - 1, nil
 }
 
 // Snapshot streams the journal's current compacted state to w — the
@@ -129,9 +110,9 @@ func (j *Journal) Snapshot(w io.Writer) (int64, error) {
 	materialize := j.materialize
 	j.mu.Unlock()
 
-	cw := &countWriter{w: w}
-	_, _, err := encodeSnapshot(cw, deps, materialize)
-	return cw.n, err
+	lw := jsonlog.NewWriter(w)
+	_, _, err := encodeSnapshot(lw, deps, materialize)
+	return lw.Bytes(), err
 }
 
 // SnapshotID streams the snapshot image of a single deployment — the
@@ -157,20 +138,17 @@ func (j *Journal) SnapshotID(w io.Writer, id string) (int64, error) {
 	materialize := j.materialize
 	j.mu.Unlock()
 
-	cw := &countWriter{w: w}
-	enc := json.NewEncoder(cw)
-	if err := enc.Encode(header{Version: Version, Kind: Kind}); err != nil {
-		return cw.n, fmt.Errorf("depjournal: encode header: %w", err)
-	}
-	_, err := encodeDep(enc, canonicalize(st, materialize))
-	return cw.n, err
+	lw := jsonlog.NewWriter(w)
+	_, _, err := encodeSnapshot(lw, []stagedDep{st}, materialize)
+	return lw.Bytes(), err
 }
 
 // ParseSnapshot decodes a complete snapshot image — the bytes Snapshot
-// or SnapshotID streamed — into its records. Unlike Open, a torn final
-// line is an error here, not tolerance: a fetched snapshot that does
-// not parse to its last byte was truncated in transfer and must be
-// refused, never half-applied.
+// or SnapshotID streamed — into its records, and checks that every
+// mutation follows a registration of its id, exactly as Open would.
+// Unlike Open, a torn final line is an error here, not tolerance: a
+// fetched snapshot that does not parse to its last byte was truncated
+// in transfer and must be refused, never half-applied.
 func ParseSnapshot(data []byte) ([]Record, error) {
 	recs, _, good, err := parse(data)
 	if err != nil {
@@ -178,6 +156,12 @@ func ParseSnapshot(data []byte) ([]Record, error) {
 	}
 	if good != int64(len(data)) {
 		return nil, fmt.Errorf("%w: truncated snapshot (%d of %d bytes parse)", ErrCorrupt, good, len(data))
+	}
+	link := &Journal{ids: make(map[string]int)}
+	for _, r := range recs {
+		if err := link.link(r); err != nil {
+			return nil, err
+		}
 	}
 	return recs, nil
 }

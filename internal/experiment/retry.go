@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"fullview/internal/backoff"
 	"fullview/internal/rng"
 	"fullview/internal/sweep"
 )
@@ -63,20 +64,7 @@ func (p RetryPolicy) retryable(err error) bool {
 // backoff returns the capped exponential delay before retry attempt
 // `retry` (0-based).
 func (p RetryPolicy) backoff(retry int) time.Duration {
-	if p.BaseDelay <= 0 {
-		return 0
-	}
-	d := p.BaseDelay
-	for i := 0; i < retry; i++ {
-		d *= 2
-		if p.MaxDelay > 0 && d >= p.MaxDelay {
-			return p.MaxDelay
-		}
-	}
-	if p.MaxDelay > 0 && d > p.MaxDelay {
-		return p.MaxDelay
-	}
-	return d
+	return backoff.Capped(p.BaseDelay, p.MaxDelay, retry)
 }
 
 // WithRetry wraps a trial function so transient failures are retried

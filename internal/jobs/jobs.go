@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math/big"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -43,6 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fullview/internal/backoff"
 	"fullview/internal/core"
 	"fullview/internal/experiment"
 	"fullview/internal/faultinject"
@@ -830,7 +830,7 @@ func (m *Manager) runBand(ctx context.Context, runner BandRunner, band int) (cor
 		select {
 		case <-ctx.Done():
 			return core.RegionStats{}, ctx.Err()
-		case <-time.After(jitter(backoffDelay(pol, attempt-1))):
+		case <-time.After(backoff.Jitter(backoff.Capped(pol.BaseDelay, pol.MaxDelay, attempt-1), 0.2)):
 		}
 	}
 }
@@ -866,42 +866,6 @@ func (m *Manager) retryableBand(err error) bool {
 		return m.cfg.Retry.Retryable(err)
 	}
 	return errors.Is(err, experiment.ErrTransient)
-}
-
-// backoffDelay mirrors experiment.RetryPolicy's unexported backoff:
-// BaseDelay doubling per retry, capped at MaxDelay.
-func backoffDelay(p experiment.RetryPolicy, retry int) time.Duration {
-	if p.BaseDelay <= 0 {
-		return 0
-	}
-	d := p.BaseDelay
-	for i := 0; i < retry; i++ {
-		d *= 2
-		if p.MaxDelay > 0 && d >= p.MaxDelay {
-			return p.MaxDelay
-		}
-	}
-	if p.MaxDelay > 0 && d > p.MaxDelay {
-		return p.MaxDelay
-	}
-	return d
-}
-
-// jitter spreads d by ±20% so retries from concurrent jobs don't
-// synchronise.
-func jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	span := int64(d) * 2 / 5
-	if span <= 0 {
-		return d
-	}
-	n, err := rand.Int(rand.Reader, big.NewInt(span))
-	if err != nil {
-		return d
-	}
-	return time.Duration(int64(d) - span/2 + n.Int64())
 }
 
 // completeBand records a finished band: journal first (failure degrades

@@ -3,10 +3,9 @@ package server
 import (
 	"context"
 	"errors"
-	"math/rand/v2"
-	"strconv"
 	"time"
 
+	"fullview/internal/backoff"
 	"fullview/internal/telemetry"
 )
 
@@ -64,10 +63,4 @@ func (a *admission) release() { <-a.slots }
 // the 429 of a saturated admission queue and the 503 of a failing
 // journal alike: a 1-second base jittered ±20%, so a burst of clients
 // rejected in the same instant does not re-stampede on the same second.
-// The value is fractional seconds (RFC 9110 specifies integer
-// delta-seconds, but rounding to whole seconds would erase the jitter
-// entirely; clients that truncate still land on a sane 0 or 1).
-func retryAfter() string {
-	v := 1 + 0.2*(2*rand.Float64()-1)
-	return strconv.FormatFloat(v, 'f', 2, 64)
-}
+func retryAfter() string { return backoff.FormatRetryAfter(backoff.Jitter(time.Second, 0.2)) }
