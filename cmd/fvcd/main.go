@@ -15,15 +15,15 @@
 //
 // With -cluster peers.json and -self NAME, the daemon runs as one
 // replica of an fvcd cluster: deployments are placed on replicas by a
-// consistent-hash ring over the peers file's member names, every
-// journal append is mirrored asynchronously to the other members, the
-// local journal is served to warming peers on GET /v1/internal/
-// snapshot, and a replica starting with no local journal warms from a
-// peer snapshot first. -state is required in this mode. Add
-// -antientropy DURATION to run the self-healing reconciler: at each
-// interval the replica compares per-deployment journal digests with
-// its peers and pulls any deployment it is missing or behind on,
-// repairing divergence left by dropped mirrors, crashes, or disk loss.
+// consistent-hash ring over the peers file's member names, and every
+// journal append is mirrored asynchronously to the other members.
+// Before it serves, a booting replica runs one anti-entropy round: it
+// compares per-deployment journal digests with its peers and pulls, in
+// batches, every deployment it is missing or behind on — so a replica
+// that lost its disk comes back with the cluster's history. -state is
+// required in this mode. Add -antientropy DURATION to repeat the round
+// at that interval, repairing divergence left by dropped mirrors,
+// crashes, or disk loss while the replica runs.
 //
 // With -route (plus -cluster), the process is instead a thin stateless
 // router: it owns no journal and no cache, and forwards every client

@@ -27,10 +27,17 @@ const (
 	// DigestPath answers the replica's per-deployment digest map
 	// (JSON: id → {digest, version}).
 	DigestPath = "/v1/internal/digest"
-	// SnapshotPath streams a journal snapshot; with ?id= it streams the
-	// single-deployment image (404 when the id is not journaled).
+	// SnapshotPath streams the snapshot image of the deployments named
+	// by its repeated ?id= parameters (404 when any id is not
+	// journaled).
 	SnapshotPath = "/v1/internal/snapshot"
 )
+
+// pullChunk is the most ids one snapshot request names. A replica that
+// is missing N deployments pulls them in ⌈N/pullChunk⌉ requests, each
+// applied with one fsynced append; at 32-hex-char ids the request line
+// stays near 18 KB, far inside net/http's header limit.
+const pullChunk = 512
 
 // AntiEntropyStore is the local side of the reconciler: the digest map
 // it advertises and the apply path for repairs. internal/server
@@ -38,9 +45,11 @@ const (
 type AntiEntropyStore interface {
 	// Digests returns the local per-deployment content digests.
 	Digests() map[string]depjournal.DigestInfo
-	// Apply installs one deployment's fetched snapshot records,
-	// replacing any local copy.
-	Apply(id string, recs []depjournal.Record) error
+	// Apply installs a fetched multi-deployment snapshot stream,
+	// replacing the local copy of each deployment in it. Deployments
+	// whose local copy is already at or past the fetched version are
+	// skipped and returned in stale (depjournal.Journal.Reinstall).
+	Apply(recs []depjournal.Record) (stale []string, err error)
 }
 
 // AntiEntropyConfig parameterises NewAntiEntropy.
@@ -67,12 +76,15 @@ type AntiEntropyConfig struct {
 // AntiEntropy is the background reconciler that makes mirror loss
 // self-healing. Each round it fetches every peer's digest map, compares
 // against its own, and pulls only the deployments it is missing or
-// behind on — per-id snapshots, not whole journals — applying them
-// through the store. Divergence of any cause (dropped mirror batches,
-// kill -9 mid-batch, a wiped disk) converges to bit-identical digests,
-// because digests are content-canonical (depjournal.DigestInfo) and
-// mutations have a single writer per id (the ring owner), so "higher
-// version wins" is a true repair rule, not a heuristic.
+// behind on — per-id snapshots in chunks of pullChunk ids, not whole
+// journals — applying each chunk through the store. The server also
+// runs one round at boot, so a replica that lost its disk catches up
+// through this same path. Divergence of any cause (dropped mirror
+// batches, kill -9 mid-batch, a wiped disk) converges to bit-identical
+// digests, because digests are content-canonical
+// (depjournal.DigestInfo) and mutations have a single writer per id
+// (the ring owner), so "higher version wins" is a true repair rule, not
+// a heuristic.
 type AntiEntropy struct {
 	cfg    AntiEntropyConfig
 	client *http.Client
@@ -110,7 +122,7 @@ func NewAntiEntropy(cfg AntiEntropyConfig) (*AntiEntropy, error) {
 	a.rounds = cfg.Registry.Counter("fvcd_antientropy_rounds_total",
 		"Anti-entropy reconciliation rounds completed.")
 	a.pulls = cfg.Registry.Counter("fvcd_antientropy_pulls_total",
-		"Deployments repaired by pulling a peer's per-id snapshot.")
+		"Deployments repaired by pulling them from a peer's snapshot.")
 	a.errs = cfg.Registry.Counter("fvcd_antientropy_errors_total",
 		"Anti-entropy steps that failed (digest fetch, snapshot fetch, apply); retried next round.")
 	return a, nil
@@ -149,13 +161,23 @@ func (a *AntiEntropy) Stop() {
 	a.wg.Wait()
 }
 
-// Round runs one reconciliation pass over every peer and returns the
-// number of deployments repaired. Errors are counted, logged, and
-// skipped — a partitioned peer must not stall repairs from reachable
-// ones — so a Round against an unreachable cluster is a cheap no-op,
-// not a failure.
+// Round runs one reconciliation pass (see Reconcile) and returns the
+// number of deployments repaired.
 func (a *AntiEntropy) Round(ctx context.Context) int {
+	pulled, _ := a.Reconcile(ctx)
+	return pulled
+}
+
+// Reconcile runs one reconciliation pass over every peer and returns
+// the number of deployments repaired, plus the pull and apply failures
+// from peers whose digest map it did fetch. Every error is counted,
+// logged, and skipped — a partitioned peer must not stall repairs from
+// reachable ones — and a peer whose digest map cannot be fetched is
+// not a failure at all, so a pass against an unreachable cluster is a
+// cheap no-op with a nil error.
+func (a *AntiEntropy) Reconcile(ctx context.Context) (int, error) {
 	pulled := 0
+	var errs []error
 	local := a.cfg.Local.Digests()
 	for _, peer := range a.cfg.Peers {
 		remote, err := a.fetchDigests(ctx, peer)
@@ -165,13 +187,8 @@ func (a *AntiEntropy) Round(ctx context.Context) int {
 			continue
 		}
 		// Sorted ids make repair order (and its logs) deterministic.
-		ids := make([]string, 0, len(remote))
-		for id := range remote {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			theirs := remote[id]
+		var want []string
+		for id, theirs := range remote {
 			ours, have := local[id]
 			if have && ours.Version >= theirs.Version {
 				// Equal versions with unequal digests would mean the
@@ -183,30 +200,54 @@ func (a *AntiEntropy) Round(ctx context.Context) int {
 				}
 				continue
 			}
-			if err := a.pull(ctx, peer, id); err != nil {
-				if errors.Is(err, depjournal.ErrStale) {
-					// The local copy advanced past the digest snapshot
-					// while this round ran (a write or mirror apply
-					// landed); Reinstall's locked version re-check
-					// refused the rollback. Not a fault — the next
-					// round compares fresh digests.
-					a.logf("antientropy: pull %s from %s lost the race to a newer local copy: %v", id, peer, err)
-					continue
-				}
+			want = append(want, id)
+		}
+		sort.Strings(want)
+		// The next chunk is fetched and parsed while the current one
+		// applies, overlapping the peer round trip with the local fsync.
+		fetched := make(chan fetchedChunk, 1)
+		go func() {
+			defer close(fetched)
+			for len(want) > 0 {
+				ids := want[:min(pullChunk, len(want))]
+				want = want[len(ids):]
+				recs, err := a.fetch(ctx, peer, ids)
+				fetched <- fetchedChunk{ids, recs, err}
+			}
+		}()
+		for f := range fetched {
+			stale, err := a.apply(f)
+			if err != nil {
 				a.errs.Inc()
-				a.logf("antientropy: pull %s from %s: %v", id, peer, err)
+				a.logf("antientropy: pull %d deployments from %s: %v", len(f.ids), peer, err)
+				errs = append(errs, fmt.Errorf("pull %d deployments from %s: %w", len(f.ids), peer, err))
 				continue
 			}
-			// Track the repair locally so a later peer in this round is
-			// compared against the post-repair version.
-			local[id] = theirs
-			pulled++
-			a.pulls.Inc()
-			a.logf("antientropy: repaired %s from %s (version %d)", id, peer, theirs.Version)
+			// A stale id's local copy advanced past the digest snapshot
+			// while this round ran (a write or mirror apply landed);
+			// Reinstall's locked version re-check refused the rollback.
+			// Not a fault — the next round compares fresh digests.
+			lost := make(map[string]bool, len(stale))
+			for _, id := range stale {
+				lost[id] = true
+				a.logf("antientropy: pull %s from %s lost the race to a newer local copy", id, peer)
+			}
+			repaired := 0
+			for _, id := range f.ids {
+				if !lost[id] {
+					// Track the repair locally so a later peer in this
+					// round is compared against the post-repair version.
+					local[id] = remote[id]
+					repaired++
+				}
+			}
+			pulled += repaired
+			a.pulls.Add(int64(repaired))
+			a.logf("antientropy: repaired %d deployments from %s", repaired, peer)
 		}
 	}
 	a.rounds.Inc()
-	return pulled
+	return pulled, errors.Join(errs...)
 }
 
 // fetchDigests retrieves and parses one peer's digest map.
@@ -221,25 +262,52 @@ func (a *AntiEntropy) fetchDigests(ctx context.Context, peer string) (map[string
 	return ParseDigests(body)
 }
 
-// pull fetches one deployment's snapshot from peer and applies it.
-func (a *AntiEntropy) pull(ctx context.Context, peer, id string) error {
-	body, err := a.get(ctx, peer+SnapshotPath+"?id="+url.QueryEscape(id))
+// fetchedChunk is one chunk's fetched snapshot records, or the error
+// that stopped the fetch.
+type fetchedChunk struct {
+	ids  []string
+	recs []depjournal.Record
+	err  error
+}
+
+// apply installs one fetched chunk through the local store.
+func (a *AntiEntropy) apply(f fetchedChunk) (stale []string, err error) {
+	if f.err != nil {
+		return nil, f.err
+	}
+	if err := faultinject.Fire(faultinject.AntiEntropyApply); err != nil {
+		return nil, err
+	}
+	return a.cfg.Local.Apply(f.recs)
+}
+
+// fetch retrieves the snapshot of ids from peer and checks it holds
+// exactly those deployments.
+func (a *AntiEntropy) fetch(ctx context.Context, peer string, ids []string) ([]depjournal.Record, error) {
+	body, err := a.get(ctx, peer+SnapshotPath+"?"+url.Values{"id": ids}.Encode())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	recs, err := depjournal.ParseSnapshot(body)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	asked := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		asked[id] = true
 	}
 	for i := range recs {
-		if recs[i].ID != id {
-			return fmt.Errorf("snapshot record %d is for %q, want %q", i, recs[i].ID, id)
+		if recs[i].Op == "" {
+			if !asked[recs[i].ID] {
+				return nil, fmt.Errorf("snapshot record %d is for %q, which was not requested (or sent twice)", i, recs[i].ID)
+			}
+			delete(asked, recs[i].ID)
 		}
 	}
-	if err := faultinject.Fire(faultinject.AntiEntropyApply); err != nil {
-		return err
+	if len(asked) > 0 {
+		return nil, fmt.Errorf("snapshot lacks %d of the %d requested deployments", len(asked), len(ids))
 	}
-	return a.cfg.Local.Apply(id, recs)
+	return recs, nil
 }
 
 // get fetches url and returns the body of a 200 answer.

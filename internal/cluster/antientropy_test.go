@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"fullview/internal/depjournal"
@@ -39,37 +41,49 @@ func aeReaim(id string, orient float64) []depjournal.Record {
 	return []depjournal.Record{{ID: id, Op: depjournal.OpReaim, Reaim: []depjournal.ReaimOp{{I: 0, Orient: orient}}}}
 }
 
-// aeStore adapts a journal to AntiEntropyStore and records applies.
+// aeStore adapts a journal to AntiEntropyStore and records the ids of
+// every apply attempt.
 type aeStore struct {
 	j       *depjournal.Journal
 	applied []string
+	applies int // Apply calls
 }
 
 func (s *aeStore) Digests() map[string]depjournal.DigestInfo { return s.j.Digests() }
-func (s *aeStore) Apply(id string, recs []depjournal.Record) error {
-	s.applied = append(s.applied, id)
-	return s.j.Reinstall(id, recs)
+func (s *aeStore) Apply(recs []depjournal.Record) ([]string, error) {
+	s.applies++
+	for _, r := range recs {
+		if r.Op == "" {
+			s.applied = append(s.applied, r.ID)
+		}
+	}
+	return s.j.Reinstall(recs)
 }
 
 // servePeer exposes a journal over the two cluster-internal endpoints,
 // exactly as a replica would.
 func servePeer(t *testing.T, j *depjournal.Journal) *httptest.Server {
 	t.Helper()
+	srv := httptest.NewServer(peerMux(j))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// peerMux routes the two cluster-internal endpoints to a journal.
+func peerMux(j *depjournal.Journal) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET "+DigestPath, func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, j.Digests())
 	})
 	mux.HandleFunc("GET "+SnapshotPath, func(w http.ResponseWriter, r *http.Request) {
 		var buf bytes.Buffer
-		if _, err := j.SnapshotID(&buf, r.URL.Query().Get("id")); err != nil {
+		if _, err := j.SnapshotIDs(&buf, r.URL.Query()["id"]); err != nil {
 			writeError(w, http.StatusNotFound, err.Error())
 			return
 		}
 		w.Write(buf.Bytes())
 	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv
+	return mux
 }
 
 // TestAntiEntropyRoundRepairs: a replica missing one deployment and
@@ -247,6 +261,183 @@ func TestAntiEntropyFaultInjection(t *testing.T) {
 	}
 	if ae.errs.Value() != 2 {
 		t.Fatalf("error counter %d, want 2", ae.errs.Value())
+	}
+}
+
+// TestAntiEntropyPullsInChunks: a replica missing N deployments pulls
+// them in ⌈N/pullChunk⌉ snapshot requests, one Apply per request, and
+// converges.
+func TestAntiEntropyPullsInChunks(t *testing.T) {
+	const n = 2*pullChunk + 3
+	peer := aeJournal(t)
+	for i := 0; i < n; i++ {
+		if err := peer.Append(aeRec(fmt.Sprintf("id%05d", i), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var snapshots atomic.Int64
+	mux := peerMux(peer)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == SnapshotPath {
+			snapshots.Add(1)
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	local := aeJournal(t)
+	store := &aeStore{j: local}
+	ae, err := NewAntiEntropy(AntiEntropyConfig{Peers: []string{srv.URL}, Local: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pulled, err := ae.Reconcile(context.Background())
+	if err != nil || pulled != n {
+		t.Fatalf("Reconcile = %d, %v; want %d, nil", pulled, err, n)
+	}
+	want := int64((n + pullChunk - 1) / pullChunk)
+	if got := snapshots.Load(); got != want {
+		t.Fatalf("%d snapshot requests for %d ids, want %d", got, n, want)
+	}
+	if store.applies != int(want) {
+		t.Fatalf("%d Apply calls, want one per request (%d)", store.applies, want)
+	}
+	if ae.pulls.Value() != n {
+		t.Fatalf("pull counter %d, want %d", ae.pulls.Value(), n)
+	}
+	if !digestMapsEqual(local.Digests(), peer.Digests()) {
+		t.Fatal("chunked pull did not converge")
+	}
+}
+
+func digestMapsEqual(a, b map[string]depjournal.DigestInfo) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for id, d := range a {
+		if b[id] != d {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAntiEntropyRefusesMismatchedSnapshot: a snapshot must hold exactly
+// the requested deployments. One that lacks a requested id, or carries
+// one nobody asked for, is refused whole — nothing applies — and
+// Reconcile reports the failure; an unreachable peer is not a failure.
+func TestAntiEntropyRefusesMismatchedSnapshot(t *testing.T) {
+	peer := aeJournal(t)
+	for _, id := range []string{"aaaa", "bbbb", "cccc"} {
+		if err := peer.Append(aeRec(id, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, serve := range map[string][]string{
+		"missing id":     {"aaaa", "bbbb"},
+		"unrequested id": {"aaaa", "bbbb", "cccc", "dddd"},
+		"duplicate id":   {"aaaa", "bbbb", "cccc", "aaaa"},
+	} {
+		donor := peer
+		if name == "unrequested id" {
+			donor = aeJournal(t)
+			for _, id := range serve {
+				if err := donor.Append(aeRec(id, 2)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET "+DigestPath, func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, http.StatusOK, peer.Digests())
+		})
+		mux.HandleFunc("GET "+SnapshotPath, func(w http.ResponseWriter, r *http.Request) {
+			if _, err := donor.SnapshotIDs(w, serve); err != nil {
+				t.Error(err)
+			}
+		})
+		srv := httptest.NewServer(mux)
+		store := &aeStore{j: aeJournal(t)}
+		ae, err := NewAntiEntropy(AntiEntropyConfig{Peers: []string{srv.URL}, Local: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pulled, err := ae.Reconcile(context.Background())
+		if err == nil || pulled != 0 || store.applies != 0 {
+			t.Errorf("%s: Reconcile = %d, %v with %d applies; want 0, an error, no apply", name, pulled, err, store.applies)
+		}
+		srv.Close()
+
+		// The same peer, gone: a cold start, not a failure.
+		if pulled, err := ae.Reconcile(context.Background()); err != nil || pulled != 0 {
+			t.Errorf("%s: Reconcile against an unreachable peer = %d, %v; want 0, nil", name, pulled, err)
+		}
+	}
+}
+
+// TestAntiEntropyReconvergesAfterTornReinstall: a crash inside the one
+// append of a multi-deployment Reinstall leaves a torn tail. The
+// journal must reopen (the torn line dropped), and the next round must
+// pull whatever the tear lost and reconverge — durably.
+func TestAntiEntropyReconvergesAfterTornReinstall(t *testing.T) {
+	peer := aeJournal(t)
+	for _, id := range []string{"aaaa", "bbbb", "cccc", "dddd"} {
+		if err := peer.Append(aeRec(id, 4)); err != nil {
+			t.Fatal(err)
+		}
+		if err := peer.AppendMutations(id, aeReaim(id, 1.25)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := servePeer(t, peer)
+	want := peer.Digests()
+
+	path := filepath.Join(t.TempDir(), "deployments.jsonl")
+	openLocal := func() (*depjournal.Journal, *AntiEntropy) {
+		t.Helper()
+		j, err := depjournal.Open(path, depjournal.Options{CompactBytes: -1})
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		ae, err := NewAntiEntropy(AntiEntropyConfig{Peers: []string{srv.URL}, Local: &aeStore{j: j}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j, ae
+	}
+
+	local, ae := openLocal()
+	before := local.Size()
+	if pulled, err := ae.Reconcile(context.Background()); err != nil || pulled != 4 {
+		t.Fatalf("first round = %d, %v; want 4, nil", pulled, err)
+	}
+	after := local.Size()
+	if err := local.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Tear the batch mid-way: the crash landed inside the append.
+	if err := os.Truncate(path, before+(after-before)/2); err != nil {
+		t.Fatal(err)
+	}
+
+	local, ae = openLocal()
+	if got := local.Digests(); digestMapsEqual(got, want) {
+		t.Fatal("test premise broken: the torn journal still matches the peer")
+	}
+	pulled, err := ae.Reconcile(context.Background())
+	if err != nil || pulled == 0 {
+		t.Fatalf("round after the tear = %d, %v; want a repair", pulled, err)
+	}
+	if !digestMapsEqual(local.Digests(), want) {
+		t.Fatal("round after the tear did not reconverge")
+	}
+	if err := local.Close(); err != nil {
+		t.Fatal(err)
+	}
+	local, _ = openLocal()
+	defer local.Close()
+	if !digestMapsEqual(local.Digests(), want) {
+		t.Fatal("reconverged state did not survive a reopen")
 	}
 }
 

@@ -102,11 +102,6 @@ var (
 	// ErrNotFound reports a lookup (snapshot filter, digest) for an id
 	// the journal does not hold.
 	ErrNotFound = errors.New("depjournal: id not journaled")
-	// ErrStale reports a Reinstall whose fetched history is not ahead
-	// of the local copy — the local deployment advanced between the
-	// caller's version comparison and the install. The caller lost the
-	// race; re-comparing next round is the recovery.
-	ErrStale = errors.New("depjournal: reinstall is not ahead of the local copy")
 )
 
 // header is the first journal line.
@@ -419,73 +414,80 @@ func (j *Journal) AppendMutations(id string, muts []Record) error {
 	return nil
 }
 
-// Reinstall durably replaces one deployment's journaled history with
-// recs — a registration followed by its mutations, as fetched from a
-// peer's per-id snapshot (SnapshotID). The records are appended as one
-// fsynced batch; replay's last-wins duplicate-registration rule makes
-// the appended registration supersede the local history on the next
-// Open, and the in-memory state is reset to match immediately. This is
-// the anti-entropy apply path: it never merges histories (the fetched
-// canonical stream IS the deployment's state), so a replica that
-// missed arbitrary mirror records converges to the peer's exact bytes.
+// Reinstall durably replaces the journaled history of every
+// deployment in recs — a multi-deployment snapshot stream in the shape
+// ParseSnapshot returns. The records of every installed deployment are
+// appended as one fsynced batch; replay's last-wins
+// duplicate-registration rule makes each appended registration
+// supersede the local history on the next Open, and the in-memory state
+// is reset to match immediately. This is the anti-entropy apply path:
+// it never merges histories (the fetched canonical stream IS the
+// deployment's state), so a replica that missed arbitrary mirror
+// records converges to the peer's exact bytes.
 //
-// The incoming version (the registration's BaseVersion plus its
-// mutation count) is re-checked against the local copy under the
-// journal lock: a reconciler compares versions from a digest map
+// Each deployment's incoming version (the registration's BaseVersion
+// plus its mutation count) is re-checked against the local copy under
+// the journal lock: a reconciler compares versions from a digest map
 // captured earlier, and a write or mirror apply that lands in between
-// must not be rolled back by the now-stale install. A fetch that is
-// not strictly ahead returns ErrStale and journals nothing — the
-// caller re-compares next round.
-func (j *Journal) Reinstall(id string, recs []Record) error {
-	if id == "" {
-		return ErrNoID
-	}
+// must not be rolled back by the now-stale install. Deployments not
+// strictly ahead are skipped and returned in stale; the caller
+// re-compares them next round. A malformed stream is refused whole,
+// before anything is written.
+func (j *Journal) Reinstall(recs []Record) (stale []string, err error) {
 	if len(recs) == 0 {
-		return errors.New("depjournal: reinstall with no records")
-	}
-	if recs[0].Op != "" {
-		return fmt.Errorf("depjournal: reinstall record 0 is a %q mutation, want a registration", recs[0].Op)
+		return nil, errors.New("depjournal: reinstall with no records")
 	}
 	for i := range recs {
-		if recs[i].ID != id {
-			return fmt.Errorf("depjournal: reinstall record %d has id %q, want %q", i, recs[i].ID, id)
-		}
-		if i > 0 && recs[i].Op == "" {
-			return fmt.Errorf("depjournal: reinstall record %d is a second registration", i)
-		}
 		if err := recs[i].validate(); err != nil {
-			return fmt.Errorf("depjournal: reinstall record %d: %w", i, err)
+			return nil, fmt.Errorf("depjournal: reinstall record %d: %w", i, err)
 		}
+	}
+	in, err := linkAll(recs)
+	if err != nil {
+		return nil, err
+	}
+	if in.dupLines > 0 {
+		return nil, errors.New("depjournal: reinstall registers an id twice")
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
-	incoming := recs[0].BaseVersion + uint64(len(recs)-1)
-	if i, ok := j.ids[id]; ok {
-		d := j.deps[i]
-		if cur := d.reg.BaseVersion + uint64(len(d.muts)); incoming <= cur {
-			return fmt.Errorf("%w: %s incoming version %d, local %d", ErrStale, id, incoming, cur)
+	var install []*depState
+	var batch []Record
+	for _, d := range in.deps {
+		if i, ok := j.ids[d.reg.ID]; ok {
+			cur := j.deps[i]
+			if d.reg.BaseVersion+uint64(len(d.muts)) <= cur.reg.BaseVersion+uint64(len(cur.muts)) {
+				stale = append(stale, d.reg.ID)
+				continue
+			}
 		}
+		install = append(install, d)
+		batch = append(append(batch, d.reg), d.muts...)
 	}
-	if err := j.writeLocked(recs); err != nil {
-		return err
+	if len(batch) == 0 {
+		return stale, nil
 	}
-	muts := append([]Record(nil), recs[1:]...)
-	if i, ok := j.ids[id]; ok {
-		// The superseded registration and its mutations are now dead
-		// lines, reclaimable at the next compaction.
-		j.dupLines += 1 + int64(len(j.deps[i].muts))
-		j.deps[i] = &depState{reg: recs[0], muts: muts}
-	} else {
-		j.ids[id] = len(j.deps)
-		j.deps = append(j.deps, &depState{reg: recs[0], muts: muts})
+	if err := j.writeLocked(batch); err != nil {
+		return nil, err
+	}
+	for _, d := range install {
+		if i, ok := j.ids[d.reg.ID]; ok {
+			// The superseded registration and its mutations are now dead
+			// lines, reclaimable at the next compaction.
+			j.dupLines += 1 + int64(len(j.deps[i].muts))
+			j.deps[i] = d
+		} else {
+			j.ids[d.reg.ID] = len(j.deps)
+			j.deps = append(j.deps, d)
+		}
 	}
 	if j.compactNeededLocked() {
 		_ = j.compactLocked()
 	}
-	return nil
+	return stale, nil
 }
 
 // Version returns a deployment's logical version: the mutation count
@@ -525,7 +527,7 @@ func (j *Journal) writeLocked(recs []Record) error {
 // foldableLocked reports whether a deployment's mutations could fold at
 // the next compaction.
 func (j *Journal) foldableLocked(d *depState) bool {
-	return stageFoldable(stagedDep{reg: d.reg, muts: d.muts, unfoldable: d.unfoldable}, j.materialize)
+	return stageFoldable(d.stage(), j.materialize)
 }
 
 // compactNeededLocked reports whether the file is past the threshold

@@ -11,7 +11,7 @@ import (
 // anti-entropy comparison across replicas.
 type DigestInfo struct {
 	// Digest is the hex sha256 chained over the deployment's canonical
-	// record stream: the exact JSONL lines SnapshotID would stream for
+	// record stream: the exact JSONL lines SnapshotIDs would stream for
 	// it, hashed in order. Because the stream is canonicalized first
 	// (mutations folded into the registration whenever they fold — see
 	// canonicalize), the digest is a pure function of the deployment's
@@ -40,7 +40,7 @@ func digestDep(st stagedDep) (DigestInfo, error) {
 }
 
 // Digests computes every journaled deployment's content digest with
-// the same copy-under-lock discipline as Snapshot: the per-deployment
+// the same copy-under-lock discipline as SnapshotIDs: the per-deployment
 // state is copied under the journal lock (record values and slice
 // headers only), then the lock is released and hashing runs against
 // the copy, so appends are never blocked behind sha256. A deployment
@@ -79,8 +79,7 @@ func (j *Journal) Digest(id string) (DigestInfo, bool) {
 		j.mu.Unlock()
 		return DigestInfo{}, false
 	}
-	d := j.deps[i]
-	st := stagedDep{reg: d.reg, muts: d.muts, unfoldable: d.unfoldable}
+	st := j.deps[i].stage()
 	materialize := j.materialize
 	j.mu.Unlock()
 

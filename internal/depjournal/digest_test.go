@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -25,12 +26,8 @@ func TestDigestInvariantAcrossHistories(t *testing.T) {
 		}
 	}
 
-	// Snapshot-replayed journal (what a warmed peer holds).
-	var buf bytes.Buffer
-	if _, err := j.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	peer := replaySnapshot(t, buf.Bytes())
+	// Snapshot-replayed journal (what a peer that pulled every id holds).
+	peer := replaySnapshot(t, snapshotOf(t, j, allIDs(j)))
 	if got := peer.Digests(); !digestsEqual(got, before) {
 		t.Fatalf("snapshot-replayed digests %v, want %v", got, before)
 	}
@@ -77,24 +74,18 @@ func digestsEqual(a, b map[string]DigestInfo) bool {
 }
 
 // TestDigestIsHashOfSnapshotID pins the wire contract between the
-// digest and the per-id snapshot: the digest is exactly the sha256 of
-// the record lines SnapshotID streams (header excluded), so a replica
-// that installs a fetched per-id snapshot lands on the peer's digest
-// by construction.
+// digest and the snapshot route: a deployment's digest is exactly the
+// sha256 of the record lines SnapshotIDs streams for it alone (header
+// excluded), and the image of several ids is the header followed by
+// those per-id bodies in list order — so a replica that installs a
+// fetched snapshot lands on the peer's digests by construction.
 func TestDigestIsHashOfSnapshotID(t *testing.T) {
 	j, _ := snapshotJournal(t)
+	var bodies []byte
 	for _, id := range []string{"aaaa", "bbbb", "cccc"} {
-		var buf bytes.Buffer
-		n, err := j.SnapshotID(&buf, id)
-		if err != nil {
-			t.Fatalf("SnapshotID(%s): %v", id, err)
-		}
-		if n != int64(buf.Len()) {
-			t.Fatalf("SnapshotID reported %d bytes, wrote %d", n, buf.Len())
-		}
-		_, body, ok := bytes.Cut(buf.Bytes(), []byte("\n"))
+		hdr, body, ok := bytes.Cut(snapshotOf(t, j, []string{id}), []byte("\n"))
 		if !ok {
-			t.Fatalf("SnapshotID(%s) wrote no header line", id)
+			t.Fatalf("SnapshotIDs(%s) wrote no header line", id)
 		}
 		sum := sha256.Sum256(body)
 		d, ok := j.Digest(id)
@@ -102,21 +93,30 @@ func TestDigestIsHashOfSnapshotID(t *testing.T) {
 			t.Fatalf("Digest(%s) not found", id)
 		}
 		if want := hex.EncodeToString(sum[:]); d.Digest != want {
-			t.Fatalf("digest[%s] = %s, want hash of SnapshotID body %s", id, d.Digest, want)
+			t.Fatalf("digest[%s] = %s, want hash of SnapshotIDs body %s", id, d.Digest, want)
 		}
+		if bodies == nil {
+			bodies = append(append([]byte(nil), hdr...), '\n')
+		}
+		bodies = append(bodies, body...)
+	}
+	if all := snapshotOf(t, j, allIDs(j)); !bytes.Equal(all, bodies) {
+		t.Fatalf("all-ids image is not the header plus the per-id bodies:\n%s\nwant\n%s", all, bodies)
 	}
 }
 
-// TestSnapshotIDNotFound: an unknown id is ErrNotFound with nothing
+// TestSnapshotIDNotFound: any unknown id is ErrNotFound with nothing
 // written, so the serving handler can still answer a clean 404.
 func TestSnapshotIDNotFound(t *testing.T) {
 	j, _ := snapshotJournal(t)
-	var buf bytes.Buffer
-	if _, err := j.SnapshotID(&buf, "zzzz"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err %v, want ErrNotFound", err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("%d bytes written before the not-found answer", buf.Len())
+	for _, ids := range [][]string{{"zzzz"}, {"aaaa", "zzzz", "bbbb"}} {
+		var buf bytes.Buffer
+		if _, err := j.SnapshotIDs(&buf, ids); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("SnapshotIDs(%v): err %v, want ErrNotFound", ids, err)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("SnapshotIDs(%v): %d bytes written before the not-found answer", ids, buf.Len())
+		}
 	}
 }
 
@@ -125,11 +125,7 @@ func TestSnapshotIDNotFound(t *testing.T) {
 // transfer) is ErrCorrupt, where Open would tolerate the torn tail.
 func TestParseSnapshotRefusesTruncation(t *testing.T) {
 	j, _ := snapshotJournal(t)
-	var buf bytes.Buffer
-	if _, err := j.SnapshotID(&buf, "aaaa"); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := snapshotOf(t, j, []string{"aaaa"})
 	recs, err := ParseSnapshot(full)
 	if err != nil {
 		t.Fatalf("intact snapshot refused: %v", err)
@@ -142,10 +138,21 @@ func TestParseSnapshotRefusesTruncation(t *testing.T) {
 	}
 }
 
+// fetch parses the SnapshotIDs image of ids — what an anti-entropy
+// pull hands to Reinstall.
+func fetch(t *testing.T, j *Journal, ids ...string) []Record {
+	t.Helper()
+	recs, err := ParseSnapshot(snapshotOf(t, j, ids))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 // TestReinstallConvergesDivergentJournal drives the full anti-entropy
 // repair cycle at the journal layer: a replica that missed mirror
-// records fetches the owner's per-id snapshot, Reinstalls it, and must
-// land on the owner's digest — and keep it across a restart, since
+// records fetches the owner's snapshot of the two divergent ids,
+// Reinstalls it in one batch, and must land on the owner's digests — and keep it across a restart, since
 // Reinstall relies on replay's last-wins rule.
 func TestReinstallConvergesDivergentJournal(t *testing.T) {
 	owner, _ := snapshotJournal(t)
@@ -166,18 +173,8 @@ func TestReinstallConvergesDivergentJournal(t *testing.T) {
 		t.Fatal("test premise broken: replica already converged")
 	}
 
-	for _, id := range []string{"aaaa", "cccc"} {
-		var buf bytes.Buffer
-		if _, err := owner.SnapshotID(&buf, id); err != nil {
-			t.Fatal(err)
-		}
-		recs, err := ParseSnapshot(buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := replica.Reinstall(id, recs); err != nil {
-			t.Fatalf("Reinstall(%s): %v", id, err)
-		}
+	if stale, err := replica.Reinstall(fetch(t, owner, "aaaa", "cccc")); err != nil || stale != nil {
+		t.Fatalf("Reinstall: stale %v, err %v", stale, err)
 	}
 	for _, id := range []string{"aaaa", "cccc"} {
 		got, ok := replica.Digest(id)
@@ -211,30 +208,18 @@ func TestReinstallConvergesDivergentJournal(t *testing.T) {
 // reconciler compares versions against a digest map captured at round
 // start, so a write that lands between the comparison and the install
 // must not be rolled back by the now-stale fetch. Reinstall re-checks
-// under the journal lock and refuses anything not strictly ahead.
+// each deployment under the journal lock, skips (and reports) anything
+// not strictly ahead, and still installs the rest of the batch.
 func TestReinstallRefusesStale(t *testing.T) {
 	owner, _ := snapshotJournal(t)
 	replica, _ := snapshotJournal(t) // identical history: aaaa at version 2
 
-	fetch := func(id string) []Record {
-		t.Helper()
-		var buf bytes.Buffer
-		if _, err := owner.SnapshotID(&buf, id); err != nil {
-			t.Fatal(err)
-		}
-		recs, err := ParseSnapshot(buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return recs
-	}
-
-	// Equal version: nothing to repair, the install is refused with
+	// Equal version: nothing to repair, the install is skipped with
 	// nothing written.
-	recs := fetch("aaaa")
+	recs := fetch(t, owner, "aaaa")
 	size := replica.Size()
-	if err := replica.Reinstall("aaaa", recs); !errors.Is(err, ErrStale) {
-		t.Fatalf("equal-version reinstall: err %v, want ErrStale", err)
+	if stale, err := replica.Reinstall(recs); err != nil || !reflect.DeepEqual(stale, []string{"aaaa"}) {
+		t.Fatalf("equal-version reinstall: stale %v, err %v, want [aaaa]", stale, err)
 	}
 	if replica.Size() != size {
 		t.Fatal("refused reinstall wrote bytes")
@@ -250,14 +235,38 @@ func TestReinstallRefusesStale(t *testing.T) {
 	}
 	ahead, _ := replica.Digest("aaaa")
 	size = replica.Size()
-	if err := replica.Reinstall("aaaa", recs); !errors.Is(err, ErrStale) {
-		t.Fatalf("behind-version reinstall: err %v, want ErrStale", err)
+	if stale, err := replica.Reinstall(recs); err != nil || !reflect.DeepEqual(stale, []string{"aaaa"}) {
+		t.Fatalf("behind-version reinstall: stale %v, err %v, want [aaaa]", stale, err)
 	}
 	if replica.Size() != size {
 		t.Fatal("refused reinstall wrote bytes")
 	}
 	if got, _ := replica.Digest("aaaa"); got != ahead {
 		t.Fatalf("refused reinstall moved the digest: %+v, want %+v", got, ahead)
+	}
+
+	// A mixed batch: aaaa is still stale, bbbb and cccc moved ahead on
+	// the owner. The stale id is skipped and reported; the others
+	// install.
+	for _, id := range []string{"bbbb", "cccc"} {
+		if err := owner.AppendMutations(id, []Record{
+			{ID: id, Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: 0.75}}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale, err := replica.Reinstall(fetch(t, owner, "aaaa", "bbbb", "cccc"))
+	if err != nil || !reflect.DeepEqual(stale, []string{"aaaa"}) {
+		t.Fatalf("mixed reinstall: stale %v, err %v, want [aaaa]", stale, err)
+	}
+	if got, _ := replica.Digest("aaaa"); got != ahead {
+		t.Fatalf("mixed reinstall moved the stale digest: %+v, want %+v", got, ahead)
+	}
+	for _, id := range []string{"bbbb", "cccc"} {
+		want, _ := owner.Digest(id)
+		if got, _ := replica.Digest(id); got != want {
+			t.Fatalf("mixed reinstall: digest[%s] %+v, want %+v", id, got, want)
+		}
 	}
 
 	// A strictly-ahead fetch still installs: the guard gates rollback,
@@ -268,8 +277,8 @@ func TestReinstallRefusesStale(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := replica.Reinstall("aaaa", fetch("aaaa")); err != nil {
-		t.Fatalf("strictly-ahead reinstall refused: %v", err)
+	if stale, err := replica.Reinstall(fetch(t, owner, "aaaa")); err != nil || stale != nil {
+		t.Fatalf("strictly-ahead reinstall: stale %v, err %v", stale, err)
 	}
 	want, _ := owner.Digest("aaaa")
 	if got, _ := replica.Digest("aaaa"); got != want {
@@ -277,28 +286,28 @@ func TestReinstallRefusesStale(t *testing.T) {
 	}
 }
 
-// TestReinstallValidation: malformed record sets are refused before
-// anything is written.
+// TestReinstallValidation: malformed record streams are refused whole,
+// before anything is written.
 func TestReinstallValidation(t *testing.T) {
 	j, _ := snapshotJournal(t)
 	size := j.Size()
 	cases := []struct {
 		name string
-		id   string
 		recs []Record
 	}{
-		{"empty", "aaaa", nil},
-		{"mutation first", "aaaa", []Record{{ID: "aaaa", Op: OpRemove, Remove: []int{0}}}},
-		{"wrong id", "aaaa", []Record{{ID: "bbbb"}}},
-		{"second registration", "aaaa", []Record{{ID: "aaaa"}, {ID: "aaaa"}}},
+		{"empty", nil},
+		{"mutation first", []Record{{ID: "aaaa", Op: OpRemove, Remove: []int{0}}}},
+		{"mutation of another id", []Record{{ID: "zzzz", BaseVersion: 9}, {ID: "bbbb", Op: OpRemove, Remove: []int{0}}}},
+		{"second registration", []Record{{ID: "zzzz", BaseVersion: 9}, {ID: "zzzz", BaseVersion: 9}}},
+		{"no id", []Record{{ID: "zzzz", BaseVersion: 9}, {BaseVersion: 9}}},
 	}
 	for _, tc := range cases {
-		if err := j.Reinstall(tc.id, tc.recs); err == nil {
+		if _, err := j.Reinstall(tc.recs); err == nil {
 			t.Errorf("%s: Reinstall accepted", tc.name)
 		}
 	}
-	if j.Size() != size {
-		t.Fatal("refused reinstalls wrote bytes")
+	if j.Size() != size || j.Has("zzzz") {
+		t.Fatal("refused reinstalls wrote records")
 	}
 }
 

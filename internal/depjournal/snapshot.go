@@ -26,12 +26,18 @@ func stageFoldable(d stagedDep, materialize MaterializeFunc) bool {
 		(len(d.reg.Cameras) > 0 || materialize != nil)
 }
 
-// stageLocked copies the per-deployment state for snapshot encoding.
-// Caller holds j.mu; the copies stay valid after it is released.
+// stage copies one deployment's state for snapshot encoding. Caller
+// holds j.mu; the copy stays valid after it is released.
+func (d *depState) stage() stagedDep {
+	return stagedDep{reg: d.reg, muts: d.muts, unfoldable: d.unfoldable}
+}
+
+// stageLocked stages every deployment, in registration order. Caller
+// holds j.mu.
 func (j *Journal) stageLocked() []stagedDep {
 	deps := make([]stagedDep, len(j.deps))
 	for i, d := range j.deps {
-		deps[i] = stagedDep{reg: d.reg, muts: d.muts, unfoldable: d.unfoldable}
+		deps[i] = d.stage()
 	}
 	return deps
 }
@@ -39,11 +45,11 @@ func (j *Journal) stageLocked() []stagedDep {
 // canonicalize reduces one staged deployment to its snapshot form: a
 // single Folded registration when the mutations fold, the registration
 // and mutations verbatim otherwise. This is the canonical shape of a
-// deployment's record stream — compaction writes it, Snapshot streams
-// it, and the per-deployment content digests hash it — so two replicas
-// holding the same logical state produce identical bytes regardless of
-// how their journal files got there (live appends, mirror batches, a
-// snapshot warm, or any compaction history).
+// deployment's record stream — compaction writes it, SnapshotIDs
+// streams it, and the per-deployment content digests hash it — so two
+// replicas holding the same logical state produce identical bytes
+// regardless of how their journal files got there (live appends,
+// mirror batches, anti-entropy pulls, or any compaction history).
 func canonicalize(d stagedDep, materialize MaterializeFunc) stagedDep {
 	if stageFoldable(d, materialize) {
 		if folded, ok := foldDeployment(d.reg, d.muts, materialize); ok {
@@ -70,7 +76,7 @@ func encodeDep(w *jsonlog.Writer, st stagedDep) error {
 // encodeSnapshot writes the compacted snapshot image of deps to w:
 // the journal header, then each deployment in canonical form. This is
 // THE compaction format — Compact calls it to build the replacement
-// file, Snapshot calls it to stream the same bytes to a peer — so a
+// file, SnapshotIDs calls it to stream the same bytes to a peer — so a
 // snapshot always replays through Open exactly like a freshly
 // compacted journal. Returns the staged states as written (so
 // compaction can commit them) and the record line count.
@@ -88,25 +94,36 @@ func encodeSnapshot(w *jsonlog.Writer, deps []stagedDep, materialize Materialize
 	return out, w.Lines() - 1, nil
 }
 
-// Snapshot streams the journal's current compacted state to w — the
-// byte-identical image Compact would write to disk — without pausing
-// appends: the per-deployment state is copied under the lock (cheap —
-// record values and slice headers, no camera-list deep copies), then
-// the lock is released and encoding runs against the copy. Appends and
-// compactions that land while a snapshot is streaming affect neither
-// its consistency nor its content: the snapshot captures the journal
-// as of the copy instant.
+// SnapshotIDs streams the snapshot image of the listed deployments:
+// the journal header, then each id's canonical record lines, in list
+// order. Listing every id in registration order yields the
+// byte-identical image Compact would write. Appends are not paused:
+// the per-deployment state is copied under the lock (record values and
+// slice headers, no camera-list deep copies), then the lock is released
+// and encoding runs against the copy, so the image captures the
+// journal as of the copy instant. Nothing is committed — fold results
+// and unfoldable discoveries are discarded, the file is untouched.
 //
-// Unlike compaction, Snapshot commits nothing — fold results and
-// unfoldable discoveries are discarded, the file is untouched. Returns
-// the number of bytes written.
-func (j *Journal) Snapshot(w io.Writer) (int64, error) {
+// The image replays through ParseSnapshot (or Open) on its own; it is
+// what the anti-entropy reconciler fetches to repair divergent
+// deployments. If any id is not journaled, ErrNotFound is returned with
+// nothing written to w, so a handler can still answer a clean 404.
+// Returns the number of bytes written.
+func (j *Journal) SnapshotIDs(w io.Writer, ids []string) (int64, error) {
 	j.mu.Lock()
 	if j.closed {
 		j.mu.Unlock()
 		return 0, ErrClosed
 	}
-	deps := j.stageLocked()
+	deps := make([]stagedDep, len(ids))
+	for k, id := range ids {
+		i, ok := j.ids[id]
+		if !ok {
+			j.mu.Unlock()
+			return 0, fmt.Errorf("%w: %s", ErrNotFound, id)
+		}
+		deps[k] = j.deps[i].stage()
+	}
 	materialize := j.materialize
 	j.mu.Unlock()
 
@@ -115,36 +132,8 @@ func (j *Journal) Snapshot(w io.Writer) (int64, error) {
 	return lw.Bytes(), err
 }
 
-// SnapshotID streams the snapshot image of a single deployment — the
-// journal header plus that id's canonical record lines — with the same
-// copy-under-lock discipline as Snapshot. The image replays through
-// ParseSnapshot (or Open) on its own, which is what the anti-entropy
-// reconciler fetches to repair one divergent deployment without
-// shipping the whole journal. ErrNotFound is returned, with nothing
-// written to w, when the id is not journaled.
-func (j *Journal) SnapshotID(w io.Writer, id string) (int64, error) {
-	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
-		return 0, ErrClosed
-	}
-	i, ok := j.ids[id]
-	if !ok {
-		j.mu.Unlock()
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	d := j.deps[i]
-	st := stagedDep{reg: d.reg, muts: d.muts, unfoldable: d.unfoldable}
-	materialize := j.materialize
-	j.mu.Unlock()
-
-	lw := jsonlog.NewWriter(w)
-	_, _, err := encodeSnapshot(lw, []stagedDep{st}, materialize)
-	return lw.Bytes(), err
-}
-
-// ParseSnapshot decodes a complete snapshot image — the bytes Snapshot
-// or SnapshotID streamed — into its records, and checks that every
+// ParseSnapshot decodes a complete snapshot image — the bytes
+// SnapshotIDs streamed — into its records, and checks that every
 // mutation follows a registration of its id, exactly as Open would.
 // Unlike Open, a torn final line is an error here, not tolerance: a
 // fetched snapshot that does not parse to its last byte was truncated
@@ -157,11 +146,21 @@ func ParseSnapshot(data []byte) ([]Record, error) {
 	if good != int64(len(data)) {
 		return nil, fmt.Errorf("%w: truncated snapshot (%d of %d bytes parse)", ErrCorrupt, good, len(data))
 	}
-	link := &Journal{ids: make(map[string]int)}
+	if _, err := linkAll(recs); err != nil {
+		return nil, err
+	}
+	return recs, nil
+}
+
+// linkAll replays recs into a throwaway per-deployment state, refusing
+// a mutation that does not follow a registration of its id, as Open
+// does.
+func linkAll(recs []Record) (*Journal, error) {
+	in := &Journal{ids: make(map[string]int)}
 	for _, r := range recs {
-		if err := link.link(r); err != nil {
+		if err := in.link(r); err != nil {
 			return nil, err
 		}
 	}
-	return recs, nil
+	return in, nil
 }

@@ -2,6 +2,7 @@ package depjournal
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -44,8 +45,32 @@ func snapshotJournal(t *testing.T) (*Journal, string) {
 	return j, path
 }
 
+// allIDs lists the journal's deployment ids in registration order: the
+// SnapshotIDs argument whose image is byte-identical to Compact's.
+func allIDs(j *Journal) []string {
+	var ids []string
+	for _, r := range j.Records() {
+		ids = append(ids, r.ID)
+	}
+	return ids
+}
+
+// snapshotOf streams the SnapshotIDs image of ids.
+func snapshotOf(t *testing.T, j *Journal, ids []string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	n, err := j.SnapshotIDs(&buf, ids)
+	if err != nil {
+		t.Fatalf("SnapshotIDs(%v): %v", ids, err)
+	}
+	if n != int64(buf.Len()) {
+		t.Fatalf("SnapshotIDs(%v) reported %d bytes, wrote %d", ids, n, buf.Len())
+	}
+	return buf.Bytes()
+}
+
 // replaySnapshot writes snapshot bytes to a fresh path and opens them
-// as a journal — exactly what a peer warming from the snapshot does.
+// as a journal.
 func replaySnapshot(t *testing.T, data []byte) *Journal {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "snapshot.jsonl")
@@ -60,20 +85,17 @@ func replaySnapshot(t *testing.T, data []byte) *Journal {
 	return j
 }
 
-// TestSnapshotBitIdenticalToCompaction pins the shipping guarantee: the
-// bytes Snapshot streams to a peer are exactly the bytes Compact writes
-// locally, so a peer-warmed journal and a locally-compacted one are the
-// same file.
+// TestSnapshotBitIdenticalToCompaction pins the shipping guarantee:
+// the bytes SnapshotIDs streams for every id are exactly the bytes
+// Compact writes locally, and the image of one id is the header plus
+// exactly that deployment's lines of the compacted file — so a peer
+// that pulled a deployment holds what a local compaction would.
 func TestSnapshotBitIdenticalToCompaction(t *testing.T) {
 	j, path := snapshotJournal(t)
-
-	var buf bytes.Buffer
-	n, err := j.Snapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("Snapshot reported %d bytes, wrote %d", n, buf.Len())
+	all := snapshotOf(t, j, allIDs(j))
+	one := make(map[string][]byte)
+	for _, id := range allIDs(j) {
+		one[id] = snapshotOf(t, j, []string{id})
 	}
 
 	if err := j.Compact(); err != nil {
@@ -83,48 +105,73 @@ func TestSnapshotBitIdenticalToCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), disk) {
-		t.Fatalf("snapshot differs from compaction:\nsnapshot:\n%s\ncompacted:\n%s", buf.Bytes(), disk)
+	if !bytes.Equal(all, disk) {
+		t.Fatalf("all-ids snapshot differs from compaction:\nsnapshot:\n%s\ncompacted:\n%s", all, disk)
 	}
-}
-
-// TestSnapshotReplaysToSameState: a journal opened from the snapshot
-// answers Records/Lookup/Mutations exactly like the source journal
-// after compaction — the state a warmed peer serves from is the state
-// the donor held.
-func TestSnapshotReplaysToSameState(t *testing.T) {
-	j, _ := snapshotJournal(t)
-
-	var buf bytes.Buffer
-	if _, err := j.Snapshot(&buf); err != nil {
-		t.Fatal(err)
+	lines := bytes.SplitAfter(disk, []byte("\n"))
+	want := make(map[string][]byte)
+	for _, line := range lines[1:] {
+		if len(line) == 0 {
+			continue
+		}
+		var r Record
+		if err := json.Unmarshal(line, &r); err != nil {
+			t.Fatal(err)
+		}
+		if want[r.ID] == nil {
+			want[r.ID] = append([]byte(nil), lines[0]...)
+		}
+		want[r.ID] = append(want[r.ID], line...)
 	}
-	warmed := replaySnapshot(t, buf.Bytes())
-
-	if err := j.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := warmed.Records(), j.Records(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("warmed records\n%+v\nwant\n%+v", got, want)
-	}
-	for _, id := range []string{"aaaa", "bbbb", "cccc"} {
-		if got, want := warmed.Mutations(id), j.Mutations(id); !reflect.DeepEqual(got, want) {
-			t.Fatalf("warmed mutations for %s = %+v, want %+v", id, got, want)
+	for id, got := range one {
+		if !bytes.Equal(got, want[id]) {
+			t.Fatalf("snapshot of %s differs from its compacted lines:\nsnapshot:\n%s\ncompacted:\n%s", id, got, want[id])
 		}
 	}
-	// The foldable deployment arrived folded: one registration, no
-	// mutation records, the final camera list inline.
-	reg, ok := warmed.Lookup("aaaa")
-	if !ok || !reg.Folded || reg.BaseVersion != 2 {
-		t.Fatalf("warmed aaaa = %+v, want a Folded registration at baseVersion 2", reg)
-	}
-	if len(reg.Cameras) != 2 {
-		t.Fatalf("folded aaaa has %d cameras, want 2 (one removed)", len(reg.Cameras))
+}
+
+// TestSnapshotReplaysToSameState: a journal opened from a snapshot
+// answers Records/Lookup/Mutations exactly like the source journal
+// after compaction, restricted to the ids the snapshot names — the
+// state a peer serves from after pulling is the state the donor held.
+func TestSnapshotReplaysToSameState(t *testing.T) {
+	for _, ids := range [][]string{{"bbbb"}, {"aaaa", "bbbb", "cccc"}} {
+		j, _ := snapshotJournal(t)
+		pulled := replaySnapshot(t, snapshotOf(t, j, ids))
+
+		if err := j.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if got := allIDs(pulled); !reflect.DeepEqual(got, ids) {
+			t.Fatalf("snapshot of %v replayed ids %v", ids, got)
+		}
+		for _, id := range ids {
+			got, _ := pulled.Lookup(id)
+			want, _ := j.Lookup(id)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("pulled registration %s\n%+v\nwant\n%+v", id, got, want)
+			}
+			if got, want := pulled.Mutations(id), j.Mutations(id); !reflect.DeepEqual(got, want) {
+				t.Fatalf("pulled mutations for %s = %+v, want %+v", id, got, want)
+			}
+		}
+		if len(ids) == 1 {
+			continue
+		}
+		// The foldable deployment arrived folded: one registration, no
+		// mutation records, the final camera list inline.
+		reg, ok := pulled.Lookup("aaaa")
+		if !ok || !reg.Folded || reg.BaseVersion != 2 {
+			t.Fatalf("pulled aaaa = %+v, want a Folded registration at baseVersion 2", reg)
+		}
+		if len(reg.Cameras) != 2 {
+			t.Fatalf("folded aaaa has %d cameras, want 2 (one removed)", len(reg.Cameras))
+		}
 	}
 }
 
-// TestSnapshotCommitsNothing: unlike Compact, Snapshot must not touch
-// the journal — not its file, not its in-memory mutation lists.
+// TestSnapshotCommitsNothing: unlike Compact, SnapshotIDs must not
+// touch the journal — not its file, not its in-memory mutation lists.
 func TestSnapshotCommitsNothing(t *testing.T) {
 	j, path := snapshotJournal(t)
 	before, err := os.ReadFile(path)
@@ -133,19 +180,18 @@ func TestSnapshotCommitsNothing(t *testing.T) {
 	}
 	mutsBefore := j.Mutations("aaaa")
 
-	if _, err := j.Snapshot(new(bytes.Buffer)); err != nil {
-		t.Fatal(err)
-	}
+	snapshotOf(t, j, []string{"aaaa"})
+	snapshotOf(t, j, allIDs(j))
 
 	after, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(before, after) {
-		t.Fatal("Snapshot modified the journal file")
+		t.Fatal("SnapshotIDs modified the journal file")
 	}
 	if got := j.Mutations("aaaa"); !reflect.DeepEqual(got, mutsBefore) {
-		t.Fatalf("Snapshot folded the in-memory mutations: %+v", got)
+		t.Fatalf("SnapshotIDs folded the in-memory mutations: %+v", got)
 	}
 	// And appends still land after a snapshot.
 	if err := j.Append(rec("dddd", 4)); err != nil {
@@ -159,8 +205,9 @@ func TestSnapshotCommitsNothing(t *testing.T) {
 // with the first k mutations folded in, for some k ≤ total — never a
 // torn or interleaved image. Camera 0's orientation is a marker that
 // encodes k, so each snapshot is checked against the exact expected
-// fold for the prefix it captured. Run with -race this also proves the
-// copy-under-lock discipline.
+// fold for the prefix it captured. Snapshots alternate between naming
+// that one id and every id (an idle deployment registered first). Run
+// with -race this also proves the copy-under-lock discipline.
 func TestSnapshotMidAppendReplaysConsistently(t *testing.T) {
 	path := testPath(t)
 	j, err := Open(path, Options{CompactBytes: -1})
@@ -186,9 +233,14 @@ func TestSnapshotMidAppendReplaysConsistently(t *testing.T) {
 		expected[k] = folded
 	}
 
+	idle := explicitRec("eeee", 2)
+	if err := j.Append(idle); err != nil {
+		t.Fatal(err)
+	}
 	if err := j.Append(reg); err != nil {
 		t.Fatal(err)
 	}
+	inputs := [][]string{{depID}, {"eeee", depID}}
 	done := make(chan error, 1)
 	go func() {
 		for k := range muts {
@@ -202,20 +254,17 @@ func TestSnapshotMidAppendReplaysConsistently(t *testing.T) {
 
 	dir := t.TempDir()
 	checkSnapshot := func(i int) int {
-		var buf bytes.Buffer
-		if _, err := j.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
+		ids := inputs[i%len(inputs)]
 		sp := filepath.Join(dir, "snap.jsonl")
-		if err := os.WriteFile(sp, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(sp, snapshotOf(t, j, ids), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		warmed, err := Open(sp, Options{CompactBytes: -1})
+		replayed, err := Open(sp, Options{CompactBytes: -1})
 		if err != nil {
 			t.Fatalf("snapshot %d does not replay: %v", i, err)
 		}
-		defer warmed.Close()
-		got, ok := warmed.Lookup(depID)
+		defer replayed.Close()
+		got, ok := replayed.Lookup(depID)
 		if !ok {
 			t.Fatalf("snapshot %d lost deployment %s", i, depID)
 		}
@@ -226,8 +275,16 @@ func TestSnapshotMidAppendReplaysConsistently(t *testing.T) {
 		if !reflect.DeepEqual(got, expected[k]) {
 			t.Fatalf("snapshot %d replayed\n%+v\nwant the k=%d prefix fold\n%+v", i, got, k, expected[k])
 		}
-		if warmed.Mutations(depID) != nil {
+		if replayed.Mutations(depID) != nil {
 			t.Fatalf("snapshot %d shipped unfolded mutations", i)
+		}
+		if got := allIDs(replayed); !reflect.DeepEqual(got, ids) {
+			t.Fatalf("snapshot %d of %v replayed ids %v", i, ids, got)
+		}
+		if len(ids) > 1 {
+			if got, _ := replayed.Lookup("eeee"); !reflect.DeepEqual(got, idle) {
+				t.Fatalf("snapshot %d replayed the idle deployment as %+v", i, got)
+			}
 		}
 		return k
 	}
@@ -263,7 +320,7 @@ func TestSnapshotClosed(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Snapshot(new(bytes.Buffer)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Snapshot on closed journal = %v, want ErrClosed", err)
+	if _, err := j.SnapshotIDs(new(bytes.Buffer), []string{"aaaa"}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SnapshotIDs on closed journal = %v, want ErrClosed", err)
 	}
 }

@@ -1,9 +1,8 @@
 // Package jsonlog is the one durable JSONL log every fvcd journal is
 // built on: internal/checkpoint (trial results), internal/jobs (band
 // results of survey jobs) and internal/depjournal (deployments) are
-// thin codecs over it, and the peer snapshot install uses its atomic
-// write. It owns the durability rules so they are stated and tested
-// once:
+// thin codecs over it. It owns the durability rules so they are stated
+// and tested once:
 //
 //   - Replay: line 1 is a header, every later line one record. Blank
 //     lines are skipped. A defective final line is a torn append (a

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,7 +18,6 @@ import (
 	"fullview/internal/depcache"
 	"fullview/internal/depjournal"
 	"fullview/internal/faultinject"
-	"fullview/internal/jsonlog"
 	"fullview/internal/telemetry"
 )
 
@@ -67,16 +65,16 @@ type mirrorBatch struct {
 }
 
 // clusterState is the per-server cluster machinery: the async journal
-// mirror (sender side) and the cluster metric series. Present only on
-// clustered servers.
+// mirror (sender side), the anti-entropy reconciler and the cluster
+// metric series. Present only on clustered servers.
 //
 // The cluster's data model is "shared-nothing compute, mirrored
 // metadata": the spatial indexes and the coverage compute are sharded
 // by the consistent-hash ring, but the deployment journal — tiny
 // compared to the indexes it describes — is asynchronously replicated
-// to every peer. That one decision buys the whole failure story: any
-// replica can warm a dead peer's replacement from its own journal
-// (GET /v1/internal/snapshot), a mis-routed request still answers
+// to every peer. That one decision buys the whole failure story: a
+// dead peer's replacement pulls the history from any replica's journal
+// in its boot anti-entropy round, a mis-routed request still answers
 // correctly (the journal revives any deployment anywhere), and
 // membership changes need no data-migration protocol.
 type clusterState struct {
@@ -84,7 +82,6 @@ type clusterState struct {
 	client *http.Client
 
 	snapshotBytes *telemetry.Counter
-	snapshots     *telemetry.Counter
 	mirrorSent    *telemetry.Counter
 	mirrorRetries *telemetry.Counter
 	mirrorDropped *telemetry.Counter
@@ -110,21 +107,20 @@ type clusterState struct {
 
 // mirrorQueueDepth bounds each peer's unsent mirror queue. A peer that
 // stays unreachable long enough to overflow it loses those records
-// from the mirror stream — and recovers them wholesale the next time
-// any replica warms from a snapshot, which is why overflow drops
-// (counted, logged) instead of blocking the write path.
+// from the mirror stream — and pulls them back in its next
+// anti-entropy round, which is why overflow drops (counted, logged)
+// instead of blocking the write path.
 const mirrorQueueDepth = 256
 
-// newClusterState wires the cluster machinery onto s. Called from New
-// before openState, so the snapshot warm path can use the HTTP client.
+// newClusterState wires the mirror machinery onto s. Called from New
+// before openState; the anti-entropy reconciler is added once the
+// journal is open (newAntiEntropy).
 func newClusterState(s *Server) *clusterState {
 	c := &clusterState{
 		peers:  make([]string, 0, len(s.cfg.PeerURLs)),
 		client: &http.Client{Timeout: 30 * time.Second},
 		snapshotBytes: s.m.reg.Counter("fvcd_cluster_snapshot_bytes_total",
-			"Bytes of journal snapshot streamed to warming peers."),
-		snapshots: s.m.reg.Counter("fvcd_cluster_snapshots_total",
-			"Journal snapshots served to warming peers."),
+			"Bytes of journal snapshot streamed to peers' anti-entropy pulls."),
 		mirrorSent: s.m.reg.Counter("fvcd_cluster_mirror_sent_total",
 			"Journal record batches mirrored to a peer successfully."),
 		mirrorRetries: s.m.reg.Counter("fvcd_mirror_retries_total",
@@ -154,7 +150,7 @@ func newClusterState(s *Server) *clusterState {
 
 // mirrorWorker drains one peer's queue, posting each batch with
 // bounded retries. Exits on close; batches still queued at shutdown
-// are abandoned (the peer heals from a snapshot).
+// are abandoned (the peer heals in its next anti-entropy round).
 func (c *clusterState) mirrorWorker(s *Server, peer string, q chan []depjournal.Record) {
 	defer c.wg.Done()
 	for {
@@ -244,7 +240,7 @@ func (c *clusterState) close() {
 // Non-blocking by design: the client's request was already durable
 // locally when this runs, and a slow peer must not add latency (or
 // failure) to it. An overflowing queue drops the batch for that peer —
-// counted — and the peer heals from a snapshot later.
+// counted — and the peer heals in its next anti-entropy round.
 func (s *Server) mirrorRecords(recs []depjournal.Record) {
 	c := s.cluster
 	if c == nil || len(recs) == 0 {
@@ -284,45 +280,37 @@ func (s *Server) FlushMirror(ctx context.Context) error {
 	}
 }
 
-// handleSnapshot streams the local journal's compacted snapshot — the
-// byte image a local Compact would write — to a warming peer, or, with
-// ?id=, the single-deployment image the anti-entropy reconciler
-// fetches to repair one divergent deployment (404 when the id is not
-// journaled here). Appends are not paused (depjournal copies under
+// handleSnapshot streams the snapshot image of the deployments named
+// by the repeated ?id= parameters — what the anti-entropy reconciler
+// fetches to repair the deployments it is missing or behind on. Any
+// unknown id answers 404 before a body byte goes out (SnapshotIDs
+// writes nothing then). Appends are not paused (depjournal copies under
 // lock and encodes outside it); records landing mid-stream are simply
-// not in this snapshot and reach the peer through the mirror instead.
+// not in this image and reach the peer through the mirror or its next
+// round instead.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.journal == nil {
 		writeError(w, http.StatusNotFound, "no durable journal on this replica")
 		return
 	}
-	if id := r.URL.Query().Get("id"); id != "" {
-		// Per-id 404s must be answered before any body bytes go out, and
-		// SnapshotID guarantees it writes nothing on an unknown id.
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		n, err := s.journal.SnapshotID(w, id)
-		if errors.Is(err, depjournal.ErrNotFound) {
-			writeError(w, http.StatusNotFound, err.Error())
-			return
-		}
-		s.cluster.snapshotBytes.Add(n)
-		if err != nil {
-			s.logf("cluster: per-id snapshot of %s failed after %d bytes: %v", id, n, err)
-			panic(http.ErrAbortHandler)
-		}
+	ids := r.URL.Query()["id"]
+	if len(ids) == 0 {
+		writeError(w, http.StatusBadRequest, "snapshot needs at least one ?id=")
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	n, err := s.journal.Snapshot(w)
+	n, err := s.journal.SnapshotIDs(w, ids)
+	if errors.Is(err, depjournal.ErrNotFound) {
+		writeError(w, http.StatusNotFound, err.Error())
+		return
+	}
 	s.cluster.snapshotBytes.Add(n)
-	s.cluster.snapshots.Inc()
 	if err != nil {
 		// Headers are gone; all we can do is cut the stream so the peer
-		// sees a truncated (and therefore invalid) snapshot.
-		s.logf("cluster: snapshot stream failed after %d bytes: %v", n, err)
+		// sees a truncated (and therefore refused) snapshot.
+		s.logf("cluster: snapshot of %d deployments failed after %d bytes: %v", len(ids), n, err)
 		panic(http.ErrAbortHandler)
 	}
-	s.logf("cluster: served journal snapshot (%d bytes) to %s", n, r.RemoteAddr)
 }
 
 // handleDigest answers the replica's per-deployment digest map — the
@@ -345,8 +333,8 @@ func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 // next local use must rebuild from the journal. A journal write
 // failure answers 503 + Retry-After (the peer retries); a mutation
 // whose registration never arrived here is answered 422 and dropped —
-// retrying cannot fix it, and the gap heals at the next snapshot warm
-// or anti-entropy round.
+// retrying cannot fix it, and the gap heals at the next anti-entropy
+// round.
 //
 // Mutation records arrive stamped with the logical version they
 // produce (applyPatch stamps them), which makes the apply idempotent
@@ -407,83 +395,6 @@ func (s *Server) handleMirror(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// maybeWarmFromPeer fills an absent (or empty) journal file from a
-// peer snapshot before the journal opens, so a replaced replica starts
-// with the cluster's full deployment history instead of an empty
-// registry. Failure modes, by design:
-//
-//   - local journal already has content  → no fetch (local truth wins)
-//   - no peer reachable at all           → cold start, NOT degraded
-//     (the signature of a whole-cluster first boot)
-//   - a peer answered but the fetch or its snapshot was bad — or the
-//     faultinject.SnapshotFetch point fired — → cold start, readiness
-//     DEGRADED (still serving; re-registrations and mirrors heal it,
-//     a restart retries the warm)
-func (s *Server) maybeWarmFromPeer(path string) {
-	if st, err := os.Stat(path); err == nil && st.Size() > 0 {
-		return
-	}
-	if err := faultinject.Fire(faultinject.SnapshotFetch); err != nil {
-		s.setWarmErr(fmt.Errorf("injected fault: %w", err))
-		s.logf("cluster: peer warm failed (injected), starting cold: %v", err)
-		return
-	}
-	anyResponded := false
-	var lastErr error
-	for _, peer := range s.cluster.peers {
-		resp, err := s.cluster.client.Get(peer + "/v1/internal/snapshot")
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		anyResponded = true
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			lastErr = fmt.Errorf("read snapshot from %s: %w", peer, err)
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			lastErr = fmt.Errorf("peer %s answered %d to snapshot fetch", peer, resp.StatusCode)
-			continue
-		}
-		if err := installSnapshot(path, data); err != nil {
-			lastErr = fmt.Errorf("snapshot from %s: %w", peer, err)
-			continue
-		}
-		s.logf("cluster: warmed journal from %s (%d bytes)", peer, len(data))
-		return
-	}
-	if !anyResponded {
-		s.logf("cluster: no peer reachable for journal warm, starting cold (first boot?): %v", lastErr)
-		return
-	}
-	s.setWarmErr(lastErr)
-	s.logf("cluster: peer warm failed, starting cold and degraded: %v", lastErr)
-}
-
-// installSnapshot validates a fetched snapshot, then installs it at the
-// journal path with jsonlog's atomic write. Validation first, and
-// strict: a corrupt snapshot must never brick the boot, and one cut in
-// transfer must not install minus its tail — ParseSnapshot refuses
-// both, and refusing here means a cold, degraded start instead.
-func installSnapshot(path string, data []byte) error {
-	if _, err := depjournal.ParseSnapshot(data); err != nil {
-		return fmt.Errorf("snapshot does not replay: %w", err)
-	}
-	if err := jsonlog.WriteAtomic(path, data); err != nil {
-		return fmt.Errorf("install: %w", err)
-	}
-	return nil
-}
-
-// setWarmErr records a failed peer warm for /readyz.
-func (s *Server) setWarmErr(err error) {
-	s.stateMu.Lock()
-	s.warmErr = err
-	s.stateMu.Unlock()
-}
-
 // antiEntropyStore adapts the server to cluster.AntiEntropyStore: the
 // digest side reads the journal, the apply side reinstalls the fetched
 // records and invalidates any cached entry so the next use rebuilds
@@ -496,18 +407,27 @@ func (a antiEntropyStore) Digests() map[string]depjournal.DigestInfo {
 	return a.s.journal.Digests()
 }
 
-func (a antiEntropyStore) Apply(id string, recs []depjournal.Record) error {
-	if err := a.s.journal.Reinstall(id, recs); err != nil {
-		return err
+func (a antiEntropyStore) Apply(recs []depjournal.Record) ([]string, error) {
+	stale, err := a.s.journal.Reinstall(recs)
+	if err != nil {
+		return nil, err
 	}
-	a.s.cache.Invalidate(id)
-	return nil
+	for _, r := range recs {
+		if r.Op == "" {
+			a.s.cache.Invalidate(r.ID)
+		}
+	}
+	return stale, nil
 }
 
-// newAntiEntropy builds the reconciler once the journal is open.
-// Called from New on clustered servers with a durable journal; the
-// periodic loop starts only when an interval was configured, but Round
-// stays drivable either way.
+// newAntiEntropy builds the reconciler once the journal is open and
+// runs the boot round: one Reconcile before New returns, so a replica
+// that lost its disk — or fell behind while down — holds its peers'
+// history before it takes a PATCH or a registration. Peers that cannot
+// be reached make a cold start (the whole-cluster first boot); a failed
+// pull from a peer that did answer leaves readiness degraded. The
+// periodic loop starts afterwards, and only when an interval was
+// configured; Round stays drivable either way.
 func (s *Server) newAntiEntropy() {
 	ae, err := cluster.NewAntiEntropy(cluster.AntiEntropyConfig{
 		Peers:    s.cluster.peers,
@@ -524,6 +444,13 @@ func (s *Server) newAntiEntropy() {
 		return
 	}
 	s.cluster.antientropy = ae
+	pulled, err := ae.Reconcile(context.Background())
+	if err != nil {
+		s.catchupErr = err
+		s.logf("cluster: boot anti-entropy round failed, serving degraded: %v", err)
+	} else if pulled > 0 {
+		s.logf("cluster: boot anti-entropy round pulled %d deployments from peers", pulled)
+	}
 	ae.Start()
 }
 

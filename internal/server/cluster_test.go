@@ -3,10 +3,10 @@ package server
 // Cluster suite: boots a real 3-replica fvcd cluster on loopback TCP
 // with a stateless router in front, and drives the sharding contract
 // end to end — ring-routed registrations and patches, async journal
-// mirroring, kill -9 of a replica, a replacement warming from a peer
-// snapshot, and query/survey answers bit-identical to a single-node
-// oracle throughout. The snapshot-fetch failure path runs under
-// internal/faultinject, so the degraded-but-serving verdict is
+// mirroring, kill -9 of a replica, a replacement catching up through
+// its boot anti-entropy round, and query/survey answers bit-identical
+// to a single-node oracle throughout. The boot-pull failure path runs
+// under internal/faultinject, so the degraded-but-serving verdict is
 // deterministic.
 
 import (
@@ -44,11 +44,11 @@ type replica struct {
 	ln   net.Listener
 }
 
-// startReplica boots one member: New (which may warm from a peer),
-// then bind and serve. The order matters and mirrors cmd/fvcd — the
-// listener binds after New, so a booting cluster's warm probes hit
-// closed ports (fast refusal → cold start) instead of hanging in an
-// unserved accept queue.
+// startReplica boots one member: New (which runs the boot anti-entropy
+// round against its peers), then bind and serve. The order matters and
+// mirrors cmd/fvcd — the listener binds after New, so a booting
+// cluster's boot rounds hit closed ports (fast refusal → cold start)
+// instead of hanging in an unserved accept queue.
 func startReplica(t *testing.T, name, addr, dir string, peerURLs []string) *replica {
 	t.Helper()
 	srv := mustNew(t, Config{StateDir: dir, PeerURLs: peerURLs})
@@ -171,7 +171,8 @@ func stripElapsed(t *testing.T, body []byte) []byte {
 // 3-replica cluster with a router answers every query and survey
 // bit-identically to a single-node oracle — before a fault, and after
 // the owning replica is kill -9'd (listener torn down, state dir
-// lost) and its replacement warms its journal from a peer snapshot.
+// lost) and its replacement catches up through its boot anti-entropy
+// round.
 func TestClusterKillWarmRestartBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots a 3-replica TCP cluster")
@@ -275,7 +276,7 @@ func TestClusterKillWarmRestartBitIdentical(t *testing.T) {
 	// kill -9 the replica that owns the first deployment: tear down its
 	// listener and abandon the process state. Its replacement gets a
 	// FRESH state dir — the disk is gone too — so everything it knows
-	// must come from a peer snapshot.
+	// must come from its peers.
 	victim := 0
 	for i, r := range reps {
 		if r.name == ring.Owner(ids[0]) {
@@ -297,27 +298,35 @@ func TestClusterKillWarmRestartBitIdentical(t *testing.T) {
 		reborn.srv.Shutdown(ctx)
 		cancel()
 	})
-	// ok — not degraded: the peer snapshot must have installed cleanly.
+	// ok — not degraded: the boot anti-entropy round must have pulled
+	// cleanly.
 	waitURLReadyz(t, reborn.url, ReadyOK)
 
-	compareAll("after kill -9 and peer warm")
+	compareAll("after kill -9 and boot catch-up")
 
-	// The warm was served by a survivor: its snapshot counters moved.
-	var snapshots float64
-	for i, r := range reps {
-		if i == victim {
-			continue
-		}
-		_, metrics, _ := httpDo(t, "GET", r.url+"/metrics", nil)
-		for _, line := range strings.Split(string(metrics), "\n") {
-			if strings.HasPrefix(line, "fvcd_cluster_snapshots_total") {
-				v, _ := strconv.ParseFloat(line[strings.LastIndex(line, " ")+1:], 64)
-				snapshots += v
-			}
+	// Through the router, a reborn owner that never caught up would be
+	// hidden: its 404 fails over to a successor's mirrored copy. So ask
+	// the reborn replica directly, bypassing the ring, as the smoke
+	// script does.
+	for _, id := range ids {
+		code, got, _ := httpDo(t, "POST", reborn.url+"/v1/deployments/"+id+"/query", queryBody)
+		_, want, _ := httpDo(t, "POST", oracle.URL+"/v1/deployments/"+id+"/query", queryBody)
+		if code != http.StatusOK || !bytes.Equal(got, want) {
+			t.Errorf("reborn replica's direct query %s answered %d, diverged from the oracle:\nreborn: %s\noracle: %s", id, code, got, want)
 		}
 	}
-	if snapshots < 1 {
-		t.Error("no survivor served a snapshot, yet the replacement warmed")
+
+	// The catch-up was the reborn replica's own boot round: it pulled
+	// every deployment.
+	_, rebornMetrics, _ := httpDo(t, "GET", reborn.url+"/metrics", nil)
+	var pulls float64
+	for _, line := range strings.Split(string(rebornMetrics), "\n") {
+		if strings.HasPrefix(line, "fvcd_antientropy_pulls_total ") {
+			pulls, _ = strconv.ParseFloat(line[strings.LastIndex(line, " ")+1:], 64)
+		}
+	}
+	if pulls < float64(len(ids)) {
+		t.Errorf("reborn replica pulled %v deployments, want at least %d", pulls, len(ids))
 	}
 
 	// And the router did real routing: its forward counters cover the
@@ -377,16 +386,23 @@ func TestClusterRouterReadyzRollsUpReplicas(t *testing.T) {
 	}
 }
 
-// TestClusterSnapshotFetchFaultDegradedButServing: when a peer is
-// reachable but the snapshot fetch fails (injected), the replica
-// starts cold and reports degraded — yet keeps serving registrations
-// and queries. Contrast with no-peer-reachable, which is a clean cold
-// start (whole-cluster first boot), pinned at the end.
+// TestClusterSnapshotFetchFaultDegradedButServing: when a peer answers
+// its digest map but the boot round's pull fails (an injected apply
+// fault), the replica starts cold and reports degraded — yet keeps
+// serving registrations and queries. Contrast with no peer reachable,
+// which is a clean cold start (whole-cluster first boot), pinned at the
+// end.
 func TestClusterSnapshotFetchFaultDegradedButServing(t *testing.T) {
 	defer faultinject.Reset()
-	remove := faultinject.Set(faultinject.SnapshotFetch, faultinject.Error(errors.New("snapshot pipe burst")))
+	donor := mustNew(t, Config{StateDir: t.TempDir(), PeerURLs: []string{"http://127.0.0.1:1"}})
+	if rec := do(t, donor.Handler(), "POST", "/v1/deployments", camerasBody(t, testNetwork(t, 10, 2))); rec.Code != http.StatusCreated {
+		t.Fatalf("register on donor: %d %s", rec.Code, rec.Body.String())
+	}
+	peer := httptest.NewServer(donor.Handler())
+	defer peer.Close()
 
-	srv := mustNew(t, Config{StateDir: t.TempDir(), PeerURLs: []string{"http://127.0.0.1:1"}})
+	remove := faultinject.Set(faultinject.AntiEntropyApply, faultinject.Error(errors.New("snapshot pipe burst")))
+	srv := mustNew(t, Config{StateDir: t.TempDir(), PeerURLs: []string{peer.URL}})
 	h := srv.Handler()
 	deadline := time.Now().Add(5 * time.Second)
 	var ready struct {
@@ -403,8 +419,11 @@ func TestClusterSnapshotFetchFaultDegradedButServing(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if ready.Status != ReadyDegraded || !strings.Contains(ready.Reason, "peer snapshot warm failed") {
-		t.Fatalf("readyz = %+v, want degraded with a warm-failure reason", ready)
+	if ready.Status != ReadyDegraded || !strings.Contains(ready.Reason, "boot catch-up from peers failed") {
+		t.Fatalf("readyz = %+v, want degraded with a catch-up-failure reason", ready)
+	}
+	if srv.journal.Len() != 0 {
+		t.Fatalf("journal holds %d deployments after a failed pull, want 0", srv.journal.Len())
 	}
 
 	// Degraded-but-serving: registration and query still work.

@@ -169,18 +169,19 @@ type Config struct {
 	JobThrottle time.Duration
 	// PeerURLs lists the base URLs of the OTHER replicas of an fvcd
 	// cluster (empty means standalone). A clustered server mirrors
-	// every journal append to its peers asynchronously, serves its
-	// journal as a snapshot on GET /v1/internal/snapshot, and — when
-	// its own journal file is missing or empty at startup — warms from
-	// a peer snapshot before opening it. Requires StateDir.
+	// every journal append to its peers asynchronously, serves
+	// per-deployment digests and snapshots on GET /v1/internal/digest
+	// and /v1/internal/snapshot, and runs one anti-entropy round in
+	// New, pulling whatever its peers hold that it lacks or is behind
+	// on before it serves. Requires StateDir.
 	PeerURLs []string
 	// AntiEntropyInterval is the gap between anti-entropy reconciliation
 	// rounds, in which a clustered replica diffs its per-deployment
 	// journal digests against each peer's GET /v1/internal/digest and
 	// pulls any deployment it is missing or behind on. Zero (the
-	// default) disables the periodic loop — repairs then run only when
-	// driven explicitly (AntiEntropyRound). Only meaningful with
-	// PeerURLs.
+	// default) disables the periodic loop — repairs then run only at
+	// boot and when driven explicitly (AntiEntropyRound). Only
+	// meaningful with PeerURLs.
 	AntiEntropyInterval time.Duration
 	// Logger receives operational log lines; nil discards them.
 	Logger *log.Logger
@@ -261,7 +262,11 @@ type Server struct {
 
 	stateMu    sync.Mutex
 	journalErr error // last journal-write failure; nil when healthy
-	warmErr    error // failed peer-snapshot warm at startup; sticky until restart
+
+	// catchupErr holds the boot anti-entropy round's pull or apply
+	// failures; set once in New, before the server serves, and sticky
+	// until restart.
+	catchupErr error
 
 	mu sync.Mutex
 	hs *http.Server
@@ -286,7 +291,7 @@ func New(cfg Config) (*Server, error) {
 	s.m = s.newMetrics()
 	if len(cfg.PeerURLs) > 0 {
 		if cfg.StateDir == "" {
-			return nil, errors.New("server: cluster peers require StateDir (the mirror and snapshot paths journal)")
+			return nil, errors.New("server: cluster peers require StateDir (the mirror and anti-entropy paths journal)")
 		}
 		s.cluster = newClusterState(s)
 	}
@@ -296,6 +301,8 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	if s.cluster != nil && s.journal != nil {
+		// Blocks on the boot anti-entropy round: the replica holds its
+		// peers' history before it takes a write.
 		s.newAntiEntropy()
 	}
 	if err := s.openJobs(); err != nil {
@@ -389,10 +396,10 @@ func (s *Server) routes() *http.ServeMux {
 	// stream never pins a compute slot.
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 
-	// The cluster-internal routes (snapshot shipping, journal mirror)
-	// sit off the admission gate like the observability endpoints:
-	// replica-to-replica traffic must not compete with client compute
-	// for admission slots.
+	// The cluster-internal routes (anti-entropy digests and snapshots,
+	// journal mirror) sit off the admission gate like the observability
+	// endpoints: replica-to-replica traffic must not compete with client
+	// compute for admission slots.
 	if s.cluster != nil {
 		mux.HandleFunc(snapshotRoute, s.handleSnapshot)
 		mux.HandleFunc(mirrorRoute, s.handleMirror)
@@ -561,8 +568,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	// Stop the mirror workers after the HTTP drain: handlers enqueue
 	// mirror batches, so none can arrive once the drain completes.
-	// Batches still queued are abandoned — the peers heal from a
-	// snapshot, and a drain must not block on an unreachable peer.
+	// Batches still queued are abandoned — the peers heal in their next
+	// anti-entropy round, and a drain must not block on an unreachable
+	// peer.
 	if s.cluster != nil {
 		s.cluster.close()
 	}

@@ -32,9 +32,11 @@ const (
 	// ReadyOK: fully operational.
 	ReadyOK = "ok"
 	// ReadyDegraded: the deployment journal is failing to persist new
-	// registrations. Queries and surveys keep answering from memory;
+	// registrations (queries and surveys keep answering from memory;
 	// registrations are refused with 503 until a journal write succeeds
-	// again.
+	// again), or a clustered replica's boot anti-entropy round failed
+	// to pull from a peer that answered (still serving; sticky until
+	// restart).
 	ReadyDegraded = "degraded"
 )
 
@@ -46,13 +48,6 @@ func (s *Server) openState() error {
 		return fmt.Errorf("server: create state dir: %w", err)
 	}
 	path := filepath.Join(s.cfg.StateDir, journalFile)
-	// A clustered replica with no local journal yet warms from a peer
-	// snapshot before opening, so a replaced node starts with the
-	// cluster's full deployment history. Best-effort: every failure
-	// mode falls back to a cold start (see maybeWarmFromPeer).
-	if s.cluster != nil {
-		s.maybeWarmFromPeer(path)
-	}
 	j, err := depjournal.Open(path,
 		depjournal.Options{
 			CompactBytes: s.cfg.JournalCompactBytes,
@@ -293,13 +288,13 @@ func (s *Server) readiness() (state, reason string) {
 	}
 	if s.journal != nil {
 		s.stateMu.Lock()
-		err, werr := s.journalErr, s.warmErr
+		err := s.journalErr
 		s.stateMu.Unlock()
 		if err != nil {
 			return ReadyDegraded, "journal writes failing (registrations 503, queries unaffected): " + err.Error()
 		}
-		if werr != nil {
-			return ReadyDegraded, "peer snapshot warm failed at startup (serving cold; restart to retry): " + werr.Error()
+		if s.catchupErr != nil {
+			return ReadyDegraded, "boot catch-up from peers failed (serving what was pulled; restart to retry): " + s.catchupErr.Error()
 		}
 	}
 	if err := s.jobs.JournalErr(); err != nil {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,13 +13,14 @@ import (
 	"fullview/internal/cluster"
 )
 
-// TestClusterWarmRefusesSnapshotCutMidLine: a peer answers the snapshot
-// fetch 200 but the body was cut mid-way through its last record. The
-// replica must not install the intact prefix as if it were the whole
-// cluster state: it starts cold and /readyz reports degraded.
+// TestClusterWarmRefusesSnapshotCutMidLine: a peer answers the boot
+// round's snapshot pull 200 but the body was cut mid-way through its
+// last record. The replica must not install the intact prefix as if it
+// were the whole pull: it starts cold and /readyz reports degraded.
 func TestClusterWarmRefusesSnapshotCutMidLine(t *testing.T) {
 	// A real journal image (header + two registrations) stands in for
-	// the peer's snapshot: both are the compacted JSONL format.
+	// the peer's snapshot of both ids: both are the compacted JSONL
+	// format.
 	srcDir := t.TempDir()
 	src := mustNew(t, Config{StateDir: srcDir})
 	var ids []string
@@ -40,12 +42,19 @@ func TestClusterWarmRefusesSnapshotCutMidLine(t *testing.T) {
 	}
 	cut := image[:len(image)-len(image)/8]
 
+	digests, err := json.Marshal(src.journal.Digests())
+	if err != nil {
+		t.Fatal(err)
+	}
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet && r.URL.Path == cluster.SnapshotPath {
+		switch {
+		case r.Method == http.MethodGet && r.URL.Path == cluster.DigestPath:
+			w.Write(digests)
+		case r.Method == http.MethodGet && r.URL.Path == cluster.SnapshotPath:
 			w.Write(cut)
-			return
+		default:
+			http.NotFound(w, r)
 		}
-		http.NotFound(w, r)
 	}))
 	defer peer.Close()
 
@@ -67,15 +76,15 @@ func TestClusterWarmRefusesSnapshotCutMidLine(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if ready.Status != ReadyDegraded || !strings.Contains(ready.Reason, "peer snapshot warm failed") {
-		t.Fatalf("readyz = %+v, want degraded with a warm-failure reason", ready)
+	if ready.Status != ReadyDegraded || !strings.Contains(ready.Reason, "boot catch-up from peers failed") {
+		t.Fatalf("readyz = %+v, want degraded with a catch-up-failure reason", ready)
 	}
 	for _, id := range ids {
 		if rec := do(t, h, "GET", "/v1/deployments/"+id, nil); rec.Code != http.StatusNotFound {
-			t.Errorf("deployment %s after a refused warm: %d, want 404 (cold start)", id, rec.Code)
+			t.Errorf("deployment %s after a refused pull: %d, want 404 (cold start)", id, rec.Code)
 		}
 	}
 	if srv.journal.Len() != 0 {
-		t.Errorf("journal holds %d deployments after a refused warm, want 0", srv.journal.Len())
+		t.Errorf("journal holds %d deployments after a refused pull, want 0", srv.journal.Len())
 	}
 }

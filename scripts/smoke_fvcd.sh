@@ -313,25 +313,26 @@ for u in "http://127.0.0.1:$p1" "http://127.0.0.1:$p2" "http://127.0.0.1:$p3"; d
 done
 echo "cluster: $depid registered+patched via router, mirrored to all replicas, verdicts match oracle"
 
-# kill -9 replica r2 and destroy its disk; its replacement must warm
-# from a peer snapshot.
+# kill -9 replica r2 and destroy its disk; its replacement must catch
+# up through its boot anti-entropy round before it serves.
 kill -9 "$rpid2"
 wait "$rpid2" 2>/dev/null || true
 rm -rf "$workdir/cstate-r2"
 start_replica r2 "$p2" "$workdir/r2-restart.log"; rpid2=$last_pid
 wait_ready "http://127.0.0.1:$p2" "$workdir/r2-restart.log" || exit 1
-grep -q "warmed journal from" "$workdir/r2-restart.log" \
-    || { echo "restarted r2 did not warm from a peer:"; cat "$workdir/r2-restart.log"; exit 1; }
+pulls=$(curl -sf "http://127.0.0.1:$p2/metrics" | sed -n 's/^fvcd_antientropy_pulls_total \([0-9]*\)$/\1/p')
+[[ "${pulls:-0}" -ge 1 ]] \
+    || { echo "restarted r2 pulled nothing from its peers:"; cat "$workdir/r2-restart.log"; exit 1; }
 
 curl -sf -X POST "$router/v1/deployments/$depid/query" -d "$query" >"$workdir/qc2.json"
 diff "$workdir/qc2.json" "$workdir/qo.json" \
     || { echo "cluster query diverged after kill -9 + peer warm"; exit 1; }
-# Even asked directly — bypassing the ring — the warmed replica answers
-# from its peer-shipped journal.
+# Even asked directly — bypassing the ring — the reborn replica answers
+# from the journal it pulled from its peers.
 curl -sf -X POST "http://127.0.0.1:$p2/v1/deployments/$depid/query" -d "$query" >"$workdir/qc3.json"
 diff "$workdir/qc3.json" "$workdir/qo.json" \
     || { echo "warmed replica's direct answer diverged"; exit 1; }
-echo "cluster: r2 killed -9 with disk loss, warmed from peer snapshot, answers bit-identical"
+echo "cluster: r2 killed -9 with disk loss, caught up from its peers at boot, answers bit-identical"
 
 curl -sf "$router/metrics" | grep -q fvcd_cluster_forwards_total \
     || { echo "router /metrics lacks fvcd_cluster_forwards_total"; exit 1; }
@@ -340,9 +341,9 @@ curl -sf "$router/metrics" | grep -q fvcd_cluster_forwards_total \
 # kill -9 r3 but keep its disk. A deployment registered and patched
 # while it is down loses its mirror batches after bounded retries (r3's
 # socket is gone); the restarted r3 keeps its intact journal — behind,
-# not empty, so there is no snapshot warm — and must reconverge through
-# the anti-entropy reconciler alone, until all three replicas answer
-# byte-identical digest maps.
+# not empty — and must reconverge through the anti-entropy reconciler
+# (its boot round, then the periodic ones), until all three replicas
+# answer byte-identical digest maps.
 kill -9 "$rpid3"
 wait "$rpid3" 2>/dev/null || true
 regbody2='{"profile":"0.3:0.2:0.4,0.7:0.1:0.5","n":120,"seed":23}'
