@@ -52,6 +52,12 @@ const (
 	// disk did; the job then runs memory-only and the service reports
 	// degraded readiness.
 	JobJournalWrite Point = "job-journal-write"
+	// JobCompact fires when a terminal job's journal is compacted, after
+	// its terminal record was appended and its subscribers were told.
+	// An error leaves the uncompacted journal in place (replay accepts
+	// it); a blocking hook holds the compaction while the job already
+	// reads as terminal.
+	JobCompact Point = "job-compact"
 	// JobReplay fires at the start of the job manager's startup replay
 	// of the per-job journals. An error abandons the replay (the daemon
 	// starts with no restored jobs); a sleeping hook holds the service

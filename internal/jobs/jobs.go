@@ -245,6 +245,11 @@ type Hooks struct {
 	// time (including retries). Bands restored from the journal on
 	// resume do not re-fire — they did no work here.
 	BandDone func(kind Kind, points int, elapsed time.Duration)
+	// JobCompacted fires once per durable job whose terminal record was
+	// appended, after JobDone, with the wall time of compacting its
+	// journal to header + terminal record (closing the old handle
+	// included), whether or not the compaction succeeded.
+	JobCompacted func(kind Kind, elapsed time.Duration)
 }
 
 // Config tunes a Manager. The zero value works (memory-only jobs).
@@ -302,11 +307,15 @@ type job struct {
 	spec    Spec
 	created time.Time
 
-	mu        sync.Mutex
-	state     State
-	started   time.Time
-	finished  time.Time
+	mu       sync.Mutex
+	state    State
+	started  time.Time
+	finished time.Time
+	// perBand holds the completed bands' stats while the job can still
+	// run; a terminal job drops it (a done job's Result holds the merge)
+	// and keeps only bandsDone.
 	perBand   map[int]core.RegionStats
+	bandsDone int
 	result    *Result
 	errMsg    string
 	cancelled bool
@@ -462,13 +471,14 @@ func (m *Manager) replay() (resumed []*job) {
 			continue
 		}
 		j := &job{
-			id:      hdr.ID,
-			spec:    hdr.Spec,
-			created: time.Unix(0, hdr.CreatedNS),
-			perBand: bands,
-			durable: true,
-			path:    path,
-			subs:    make(map[chan Event]struct{}),
+			id:        hdr.ID,
+			spec:      hdr.Spec,
+			created:   time.Unix(0, hdr.CreatedNS),
+			perBand:   bands,
+			bandsDone: len(bands),
+			durable:   true,
+			path:      path,
+			subs:      make(map[chan Event]struct{}),
 		}
 		m.mu.Lock()
 		if _, dup := m.jobs[hdr.ID]; dup {
@@ -480,6 +490,12 @@ func (m *Manager) replay() (resumed []*job) {
 			j.errMsg = term.Error
 			j.result = term.Result
 			j.finished = time.Unix(0, term.FinishedNS)
+			// A compacted journal has no band records left; a done job
+			// completed every band whatever the file still holds.
+			j.perBand = nil
+			if term.State == StateDone {
+				j.bandsDone = j.spec.Bands()
+			}
 			if m.cfg.TTL > 0 && now.Sub(j.finished) > m.cfg.TTL {
 				m.gone[j.id] = now
 				m.mu.Unlock()
@@ -713,7 +729,7 @@ func (m *Manager) snapshot(j *job) Snapshot {
 		Spec:      j.spec,
 		State:     j.state,
 		Bands:     j.spec.Bands(),
-		BandsDone: len(j.perBand),
+		BandsDone: j.bandsDone,
 		Resumed:   j.resumed,
 		Durable:   j.durable,
 		Err:       j.errMsg,
@@ -876,7 +892,8 @@ func (m *Manager) retryableBand(err error) bool {
 func (m *Manager) completeBand(j *job, band int, stats core.RegionStats, elapsed time.Duration) {
 	j.mu.Lock()
 	j.perBand[band] = stats
-	done := len(j.perBand)
+	j.bandsDone = len(j.perBand)
+	done := j.bandsDone
 	file := j.file
 	j.mu.Unlock()
 	if file != nil {
@@ -921,9 +938,13 @@ func (m *Manager) merge(j *job) *Result {
 	return res
 }
 
-// finishJob moves a job to its terminal state exactly once: terminal
-// journal record + atomic compaction, final event, subscriber channel
-// close, completion hook.
+// finishJob moves a job to its terminal state exactly once: the fsynced
+// terminal record (the durability point), then the final event,
+// subscriber channel close and completion hook, and only then the
+// compaction to header + terminal record. Compaction is off the
+// latency path because closing the renamed-over handle can cost tens of
+// milliseconds; a crash before it leaves an uncompacted terminal
+// journal, which replay restores exactly like a compacted one.
 func (m *Manager) finishJob(j *job, state State, errMsg string, result *Result) {
 	now := time.Now()
 	j.mu.Lock()
@@ -944,23 +965,19 @@ func (m *Manager) finishJob(j *job, state State, errMsg string, result *Result) 
 	subs := j.subs
 	j.subs = nil
 	started := j.started
-	done := len(j.perBand)
+	j.perBand = nil
+	done := j.bandsDone
 	j.mu.Unlock()
 
 	m.bumpState(j.spec.Kind, state)
+	rec := record{State: state, Error: errMsg, Result: result, FinishedNS: now.UnixNano()}
 	if file != nil {
-		rec := record{State: state, Error: errMsg, Result: result, FinishedNS: now.UnixNano()}
 		if err := file.append(rec); err != nil {
 			m.noteJournalErr(err)
 			file.close()
+			file = nil
 		} else {
 			m.clearJournalErr()
-			if err := file.compact(rec); err != nil {
-				// Non-fatal: the appended terminal record is already
-				// durable, the file is just un-compacted.
-				m.cfg.Logger.Printf("fvcd: job %s: compact: %v", j.id, err)
-				file.close()
-			}
 		}
 	}
 	ev := Event{Type: EventState, State: state, BandsDone: done, Bands: j.spec.Bands(), Error: errMsg}
@@ -978,11 +995,22 @@ func (m *Manager) finishJob(j *job, state State, errMsg string, result *Result) 
 		}
 		m.cfg.Hooks.JobDone(j.spec.Kind, state, now.Sub(from))
 	}
+	if file != nil {
+		t0 := time.Now()
+		if err := file.compact(rec); err != nil {
+			// Non-fatal: the appended terminal record is already
+			// durable, the file is just un-compacted.
+			m.cfg.Logger.Printf("fvcd: job %s: compact: %v", j.id, err)
+		}
+		if m.cfg.Hooks.JobCompacted != nil {
+			m.cfg.Hooks.JobCompacted(j.spec.Kind, time.Since(t0))
+		}
+	}
 }
 
 func (m *Manager) emitState(j *job, state State) {
 	j.mu.Lock()
-	done := len(j.perBand)
+	done := j.bandsDone
 	j.mu.Unlock()
 	m.emit(j, Event{Type: EventState, State: state, BandsDone: done, Bands: j.spec.Bands()})
 }

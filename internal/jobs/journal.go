@@ -17,8 +17,10 @@ import (
 // terminal state. The durability rules are internal/jsonlog's: one
 // write + fsync per record, so a kill -9 loses at most the band whose
 // completion was never acknowledged; replay drops a torn final line and
-// refuses interior damage. Once a job reaches a terminal state its file
-// is compacted to header + terminal record with jsonlog's atomic write.
+// refuses interior damage. Once a job reaches a terminal state and its
+// terminal record is durable, its file is compacted to header +
+// terminal record with jsonlog's atomic write; replay accepts the
+// uncompacted form too (a crash between the two).
 const (
 	// Version is the job journal format version.
 	Version = 1
@@ -186,8 +188,14 @@ func (jf *jobFile) append(rec record) error {
 
 // compact rewrites the journal as header + terminal record only (the
 // band records are subsumed by the result) with an atomic write, and
-// closes the append handle — a terminal job never writes again.
+// closes the append handle whatever the outcome — a terminal job never
+// writes again. The faultinject.JobCompact point fires before the
+// write; on failure the file keeps its appended terminal record.
 func (jf *jobFile) compact(term record) error {
+	defer jf.close()
+	if err := faultinject.Fire(faultinject.JobCompact); err != nil {
+		return fmt.Errorf("jobs: compact: %w", err)
+	}
 	image, err := jsonlog.Lines[any](jf.hdr, term)
 	if err != nil {
 		return fmt.Errorf("jobs: encode compaction: %w", err)
@@ -195,7 +203,6 @@ func (jf *jobFile) compact(term record) error {
 	if err := jsonlog.WriteAtomic(jf.path, image); err != nil {
 		return fmt.Errorf("jobs: compact: %w", err)
 	}
-	jf.close()
 	return nil
 }
 

@@ -93,9 +93,13 @@ func (s *Server) openJobs() error {
 		dir = filepath.Join(s.cfg.StateDir, jobsDirName)
 	}
 	durations := make(map[jobs.Kind]*telemetry.Histogram)
+	compactions := make(map[jobs.Kind]*telemetry.Histogram)
 	for _, k := range jobs.Kinds() {
 		durations[k] = s.m.reg.Histogram("fvcd_job_duration_ns",
 			"Job wall time from run start to terminal state, by kind.",
+			nil, telemetry.L("kind", string(k)))
+		compactions[k] = s.m.reg.Histogram("fvcd_job_compact_ns",
+			"Wall time of compacting a terminal job's journal, after its done event, by kind.",
 			nil, telemetry.L("kind", string(k)))
 	}
 	logger := s.cfg.Logger
@@ -118,6 +122,9 @@ func (s *Server) openJobs() error {
 				if points > 0 {
 					s.m.pointCost["job"].Observe(elapsed.Nanoseconds() / int64(points))
 				}
+			},
+			JobCompacted: func(k jobs.Kind, elapsed time.Duration) {
+				compactions[k].Observe(elapsed.Nanoseconds())
 			},
 		},
 	}, s.execJob)
@@ -176,6 +183,9 @@ func (s *Server) execJob(spec jobs.Spec) (jobs.BandRunner, error) {
 		}
 		checkers[i] = c
 	}
+	// sweep.RunBatch caps this at one worker per 256-point batch, so a
+	// band of up to 256 points (a dense-grid row for n up to ~7,300)
+	// runs inline on the job goroutine.
 	workers := spec.Workers
 	if workers <= 0 || workers > s.cfg.SurveyWorkers {
 		workers = s.cfg.SurveyWorkers

@@ -685,3 +685,40 @@ func TestSurveyPointTelemetry(t *testing.T) {
 		t.Fatalf("survey histogram count moved to %v after a job, want 1", got)
 	}
 }
+
+// TestJobCompactTelemetry checks fvcd_job_compact_ns: one observation
+// per durable job, made after the job already reads done (compaction
+// runs after the terminal event), never per band, and none for a
+// memory-only job.
+func TestJobCompactTelemetry(t *testing.T) {
+	const count = `fvcd_job_compact_ns_count{kind="survey"}`
+	srv := mustNewStopped(t, Config{StateDir: t.TempDir()})
+	h := srv.Handler()
+	waitReadyz(t, h, ReadyOK)
+	id := registerNet(t, h, testNetwork(t, 60, 16))
+	for i := 0; i < 2; i++ {
+		job := submitJob(t, h, jobSubmitRequest{Kind: "survey", Deployment: id, ThetaPi: 0.25, Grid: 8})
+		if final := pollJob(t, h, job.ID); final.State != "done" {
+			t.Fatalf("job state %q (error %q), want done", final.State, final.Error)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for metricValue(t, h, count) < 2 && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if got := metricValue(t, h, count); got != 2 {
+		t.Fatalf("%s = %v after two 8-band jobs, want 2 (one per job)", count, got)
+	}
+
+	mem := mustNewStopped(t, Config{})
+	hm := mem.Handler()
+	waitReadyz(t, hm, ReadyOK)
+	mid := registerNet(t, hm, testNetwork(t, 60, 16))
+	job := submitJob(t, hm, jobSubmitRequest{Kind: "survey", Deployment: mid, ThetaPi: 0.25, Grid: 8})
+	if final := pollJob(t, hm, job.ID); final.State != "done" {
+		t.Fatalf("memory-only job state %q, want done", final.State)
+	}
+	if got := metricValue(t, hm, count); got != 0 {
+		t.Fatalf("memory-only server: %s = %v, want 0", count, got)
+	}
+}

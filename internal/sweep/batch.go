@@ -22,6 +22,13 @@ const BatchSize = 256
 // and panic containment (a *PanicError's Item is the batch's first
 // index) — behaves exactly like Run.
 //
+// The dispatch rule: RunBatch never starts more workers than there are
+// batches, min(workers, ceil(n/BatchSize)). A sweep of at most one
+// batch (a 183-point job band) runs inline on the caller's goroutine
+// instead of as sub-batch chunks on several, which measured faster end
+// to end on the survey-job workload (DESIGN.md §6); a 33k-point
+// dense-grid survey still fans out to every worker.
+//
 // Because chunk and batch boundaries only affect how points are grouped
 // (never which points are evaluated, nor their order within the fold),
 // a kernel whose per-point results are grouping-independent and whose
@@ -42,7 +49,8 @@ func RunBatch[S, T any](
 	if len(points) == 0 {
 		return zero, nil
 	}
-	workers = normalizeWorkers(workers, len(points))
+	batches := (len(points) + BatchSize - 1) / BatchSize
+	workers = normalizeWorkers(workers, batches)
 	return runParallel(ctx, len(points), workers, merge,
 		func(ctx context.Context, w, lo, hi int) (T, error) {
 			return runBatchChunk(ctx, w, lo, hi, points, newState, kernel)

@@ -9,6 +9,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"fullview/internal/geom"
@@ -149,5 +150,55 @@ func TestRunBatchPanicIsolated(t *testing.T) {
 	}
 	if perr.Item != BatchSize {
 		t.Fatalf("PanicError.Item = %d, want the batch start %d", perr.Item, BatchSize)
+	}
+}
+
+// TestRunBatchNeverSplitsBelowABatch pins the dispatch rule: RunBatch
+// builds exactly min(workers, ceil(n/BatchSize)) worker states, so a
+// sweep of at most one batch runs on a single worker while a dense grid
+// still fans out, and the fold stays bit-identical to the sequential
+// sweep. Run keeps its own rule, min(workers, items).
+func TestRunBatchNeverSplitsBelowABatch(t *testing.T) {
+	pointKernel := func(_ struct{}, acc float64, i int, p geom.Vec) float64 {
+		return acc + p.X*float64(i+1)
+	}
+	batchKernel := func(_ struct{}, acc float64, lo int, pts []geom.Vec) float64 {
+		for i, p := range pts {
+			acc = pointKernel(struct{}{}, acc, lo+i, p)
+		}
+		return acc
+	}
+	merge := func(dst, src float64) float64 { return dst + src }
+	for _, n := range []int{1, 183, 256, 257, 33489} {
+		points := testPoints(n)
+		want, err := Run(context.Background(), points, 1, noState, pointKernel, merge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 8} {
+			var states atomic.Int64
+			counted := func() (struct{}, error) {
+				states.Add(1)
+				return struct{}{}, nil
+			}
+			got, err := RunBatch(context.Background(), points, workers, counted, batchKernel, merge)
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+			}
+			if wantStates := min(workers, (n+BatchSize-1)/BatchSize); states.Load() != int64(wantStates) {
+				t.Errorf("n=%d workers=%d: RunBatch built %d worker states, want %d", n, workers, states.Load(), wantStates)
+			}
+			if got != want {
+				t.Errorf("n=%d workers=%d: RunBatch = %v, sequential = %v", n, workers, got, want)
+			}
+
+			states.Store(0)
+			if _, err := Run(context.Background(), points, workers, counted, pointKernel, merge); err != nil {
+				t.Fatal(err)
+			}
+			if wantStates := min(workers, n); states.Load() != int64(wantStates) {
+				t.Errorf("n=%d workers=%d: Run built %d worker states, want %d", n, workers, states.Load(), wantStates)
+			}
+		}
 	}
 }
