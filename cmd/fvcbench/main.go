@@ -57,7 +57,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"fullview/internal/figures"
@@ -189,9 +188,9 @@ func runKernelBench(stdout io.Writer, benchTime, benchOut, benchBase string, max
 	switch batchMode {
 	case "", "all":
 	case "point":
-		keep = func(c kernelbench.Case) bool { return !strings.HasSuffix(c.Name, "Batch") }
+		keep = func(c kernelbench.Case) bool { return c.PointsPerOp() == 1 }
 	case "batch":
-		keep = func(c kernelbench.Case) bool { return strings.HasSuffix(c.Name, "Batch") }
+		keep = func(c kernelbench.Case) bool { return c.PointsPerOp() > 1 }
 	default:
 		return fmt.Errorf("batch: unknown mode %q (all, point, or batch)", batchMode)
 	}

@@ -47,6 +47,29 @@ func TestSurveyBatchMatchesReportLoop(t *testing.T) {
 			}
 		}
 	}
+	// Dense grids cut like a survey, plus seam columns, on a wide-span
+	// network and on one with cameras placed on the grid.
+	wide, err := deploy.Uniform(geom.UnitTorus, profile, 350, rng.New(4, 21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range gridSides {
+		for _, net := range []*sensor.Network{wide, gridEdgeNetwork(t, k, 5)} {
+			checker, err := NewChecker(net, math.Pi/4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, batch := range gridCuts(t, net.Torus(), k) {
+				var want RegionStats
+				for _, p := range batch {
+					want.observe(checker.Report(p))
+				}
+				if got := checker.SurveyBatch(batch); got != want {
+					t.Fatalf("grid k=%d cut %d: SurveyBatch = %+v, want %+v", k, i, got, want)
+				}
+			}
+		}
+	}
 }
 
 // TestEvaluateBatchMatchesEvaluate pins every per-point multi-θ report
@@ -195,6 +218,28 @@ func TestBatchKernelZeroAllocSteadyState(t *testing.T) {
 		i++
 	}); allocs != 0 {
 		t.Errorf("EvaluateBatch: %.1f allocs per batch in steady state, want 0", allocs)
+	}
+	// Grid cuts take the run walk.
+	var grid [][]geom.Vec
+	for _, k := range []int{13, 64, 183} {
+		cuts := gridCuts(t, net.Torus(), k)
+		grid = append(grid, cuts[0], cuts[len(cuts)-2], cuts[len(cuts)-1])
+	}
+	for _, pts := range grid { // warm-up
+		sink += checker.SurveyBatch(pts).Points
+		multi.EvaluateBatch(pts, func(_ int, rep MultiReport) { sink += rep.NumCovering })
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		sink += checker.SurveyBatch(grid[i%len(grid)]).FullView
+		i++
+	}); allocs != 0 {
+		t.Errorf("SurveyBatch on grid cuts: %.1f allocs per batch in steady state, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		multi.EvaluateBatch(grid[i%len(grid)], func(_ int, rep MultiReport) { sink += rep.NumCovering })
+		i++
+	}); allocs != 0 {
+		t.Errorf("EvaluateBatch on grid cuts: %.1f allocs per batch in steady state, want 0", allocs)
 	}
 	_ = sink
 }

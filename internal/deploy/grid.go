@@ -10,6 +10,11 @@ import (
 // GridPoints returns the k×k square lattice of points on torus t, cell
 // centres at ((i+½)·side/k, (j+½)·side/k). Centre alignment keeps all
 // points interior so no point coincides with its wrapped image.
+//
+// Points are emitted X outer, Y inner: column i's k points come in
+// increasing Y before column i+1 starts. Any contiguous cut of the
+// result — a /survey batch, a job band — is therefore made of column
+// runs, the input shape the spatial batch gather's run walk serves.
 func GridPoints(t geom.Torus, k int) ([]geom.Vec, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadGridSide, k)

@@ -9,11 +9,11 @@
 //
 // Point-at-a-time cases evaluate exactly one sample point per
 // iteration, so ns/op, B/op, and allocs/op read directly as ns/point,
-// B/point, allocs/point. Batch cases (names ending in "Batch") evaluate
-// Points samples per iteration through the cell-sorted batch kernel;
-// the harness divides by iterations × Points, so every reported figure
-// is still per point and batch cases compare directly against their
-// point-at-a-time twins.
+// B/point, allocs/point. Batch cases (names ending in "Batch" or
+// "Grid") evaluate Points samples per iteration through the batch
+// kernel; the harness divides by iterations × Points, so every reported
+// figure is still per point and batch cases compare directly against
+// their point-at-a-time twins.
 package kernelbench
 
 import (
@@ -48,8 +48,9 @@ var Thetas = []float64{0.15 * math.Pi, 0.25 * math.Pi, math.Pi / 3, 0.5 * math.P
 type Case struct {
 	// Name is the stable benchmark identifier ("FullViewHomog1000", …).
 	// The `go test` benchmark is named Benchmark<Name>. Batch-kernel
-	// cases end in "Batch" — the convention `fvcbench -batch` filters
-	// on.
+	// cases on the random point pool end in "Batch", and those on a
+	// dense grid in "Grid"; `fvcbench -batch` tells batch cases from
+	// point cases by Points.
 	Name string
 	// Points is the number of sample points one fn(i) call evaluates
 	// (0 and 1 both mean one). Per-point figures divide by it.
@@ -262,6 +263,22 @@ func Cases() []Case {
 			},
 		},
 		{
+			// SurveyHet1000Batch's kernel on the input shape /survey and
+			// job bands really send: 256-point cuts of the fixture's
+			// dense grid in GridPoints order, so every batch is made of
+			// column runs and takes the run walk.
+			Name:   "SurveyHet1000Grid",
+			Points: sweep.BatchSize,
+			Setup:  func() (func(int), error) { return surveyGridSetup(hetNetwork) },
+		},
+		{
+			// The same grid survey on the homogeneous network, where a
+			// point has about five times as many covering cameras.
+			Name:   "SurveyHomog1000Grid",
+			Points: sweep.BatchSize,
+			Setup:  func() (func(int), error) { return surveyGridSetup(homogNetwork) },
+		},
+		{
 			// k-coverage multiplicity on the heterogeneous network.
 			Name: "CountCoveringHet1000",
 			Setup: func() (func(int), error) {
@@ -280,6 +297,32 @@ func Cases() []Case {
 			},
 		},
 	}
+}
+
+// surveyGridSetup builds a grid survey case: Checker.SurveyBatch over
+// the full sweep.BatchSize cuts of the 1000-camera network's dense grid
+// (deploy.DenseGrid, 84×84), cycled in emission order. The grid's last
+// partial cut is left out so every iteration evaluates the same number
+// of points.
+func surveyGridSetup(network func(int) (*sensor.Network, error)) (func(int), error) {
+	net, err := network(1000)
+	if err != nil {
+		return nil, err
+	}
+	checker, err := core.NewChecker(net, math.Pi/4)
+	if err != nil {
+		return nil, err
+	}
+	pts, err := deploy.DenseGrid(net.Torus(), net.Len())
+	if err != nil {
+		return nil, err
+	}
+	cuts := len(pts) / sweep.BatchSize
+	return func(i int) {
+		lo := (i % cuts) * sweep.BatchSize
+		stats := checker.SurveyBatch(pts[lo : lo+sweep.BatchSize])
+		sink += stats.FullView
+	}, nil
 }
 
 // Result is the measurement of one case. All figures are per point:

@@ -1,19 +1,34 @@
-// Batch gather: the cell-sorted execution path of the spatial index.
+// Batch gather: the batch execution path of the spatial index.
 //
 // Grid workloads — surveys, sweeps, job bands — evaluate dense point
 // sets whose neighbours land in the same bucket of every tier grid. The
 // point-at-a-time entry points re-derive that bucket, re-walk the same
 // 3×3 cell neighbourhood, and re-scan the same CSR candidate rows for
-// every single point. The batch path amortises all of that: points are
-// sorted by grid cell once per tier (a single []int64 key sort over
-// reusable scratch, zero allocations in the steady state), each occupied
+// every single point. The batch path amortises all of that with one of
+// two walks, chosen per batch from the batch's shape (minMeanRun).
+//
+// The run walk serves grid input. deploy.GridPoints emits X outer and
+// Y inner, so every survey batch, job band and experiment grid is made
+// of column runs: consecutive points with one wrapped X and strictly
+// increasing wrapped Y. A sector no wider than π meets such a line in
+// one interval, and a wider one stays within its disc's chord. So per
+// tier each run segment enumerates its candidate cells once, and each
+// candidate computes the Y interval where it can cover the run — the
+// disc chord at the run's X offset, cut by the sector's two half-planes
+// when the aperture is below π. Only the points inside that interval,
+// found by an interpolation probe or a binary search, run the exact
+// cover arithmetic. The interval carries slack (runChordSlack,
+// runSectorSlack, prefilterSlack), so a point outside it provably fails
+// covers(), and a candidate whose fl(du²) exceeds r² is skipped exactly.
+//
+// The cell-group walk serves scattered input. Points are sorted by grid
+// cell once per tier (a single []int64 key sort over reusable scratch,
+// zero allocations in the steady state), each occupied
 // cell-neighbourhood is walked exactly once per batch, and every
 // candidate row is scanned candidate-major — the camera's SoA columns
 // (position, orientation sin/cos, radius², cos φ/2) are loaded into
 // registers once and tested against the whole cell's points — instead of
-// point-major.
-//
-// Two further savings fall out of the cell grouping:
+// point-major. Two further savings fall out of the cell grouping:
 //
 //   - Per-tier span arithmetic (reach, whole-tier fallback) hoists from
 //     per-point to per-batch, and the toroidal Wrap of each point runs
@@ -27,11 +42,15 @@
 //     removes candidates whose covers() is false for every group point.
 //
 // Results are not merely the same multiset as the point-at-a-time path —
-// they are the same per-point sequences. Tiers are processed in index
-// order, buckets in the same (dy, dx) walk order, candidates in CSR row
-// order, and overlay-added cameras last; the final counting-sort
-// placement is stable in emission order, so each point's slice of the
-// CSR result equals the corresponding AppendCovering /
+// they are the same per-point sequences. Both walks process tiers in
+// index order, meet each point's buckets in the point path's (dy, dx)
+// order, candidates in CSR row order, and overlay-added cameras last.
+// The run walk keeps that order by capping each run segment at
+// cells − 2·reach cell rows, so its widened row walk never meets a
+// wrapped row twice, and by testing each bucket only against the
+// segment points whose own neighbourhood contains it. The final
+// counting-sort placement is stable in emission order, so each point's
+// slice of the CSR result equals the corresponding AppendCovering /
 // AppendViewedDirections output element for element. The overlay-aware
 // Source path (MutableIndex, View) runs the identical engine with the
 // removed-bitmap check hoisted to once per candidate.
@@ -56,6 +75,27 @@ import (
 // point-at-a-time path.
 const prefilterSlack = 1e-12
 
+// minMeanRun is the batch-shape dispatch rule: a batch whose mean
+// column-run length reaches it takes the run walk, and any more
+// scattered batch keeps the cell-group walk. DESIGN.md §6 records the
+// measurement behind the value.
+const minMeanRun = 8
+
+// runChordSlack widens the run walk's disc chord: the half-length is
+// √(r² − fl(du²) + runChordSlack·r²) + prefilterSlack·side. Every
+// rounding step between that bound and the exact n2 = du² + dy² test
+// costs a few ulps relative to r² (≈1e-16), so a point outside the
+// widened chord provably has n2 > r² and fails covers().
+const runChordSlack = 1e-9
+
+// runSectorSlack widens the two half-planes of a sector below π: a
+// point covers() accepts lies within a few ulps of angle of the true
+// sector, and the half-plane bound, solved for dy with rounded edge
+// directions, is off by a few ulps of (|du| + chord). The bound is
+// moved outwards by runSectorSlack·(|du| + chord), seven orders of
+// magnitude more than both errors.
+const runSectorSlack = 1e-9
+
 // BatchScratch owns every buffer the batch gather needs. The zero value
 // is ready to use; buffers grow on first use and are reused by later
 // batches, so a caller that keeps one scratch per worker pays zero
@@ -72,6 +112,11 @@ type BatchScratch struct {
 	offs   []int32 // CSR offsets over the batch (len = points+1)
 	cams   []int32 // result storage for AppendCoveringBatch
 	dirs   []float64
+	// Run walk: the batch's column-run starts followed by the batch
+	// length, and the current run segment's first point per cell row
+	// followed by the segment end.
+	runs     []int32
+	rowStart []int32
 }
 
 // growI32 returns a length-n slice, reusing s's storage when it is
@@ -147,8 +192,13 @@ func (ix *Index) gatherBatch(sc *BatchScratch, points []geom.Vec, d *overlay) {
 		sc.wy[i] = w.Y
 	}
 
+	runWalk := sc.findRuns(n)
 	for ti := range ix.tiers {
 		t := &ix.tiers[ti]
+		if runWalk {
+			ix.walkRuns(sc, d, t)
+			continue
+		}
 		if t.cells == 1 || 2*(int(t.maxR/t.cellSize)+1)+1 >= t.cells {
 			// Whole-tier scan (the span "all" case), hoisted to once per
 			// batch: every candidate row is t.camIdx, every point is in
@@ -427,6 +477,236 @@ func (ix *Index) scanCandidates(sc *BatchScratch, d *overlay, cands []int32, g g
 			sc.counts[i]++
 		}
 	}
+}
+
+// findRuns splits the batch into column runs — maximal stretches of
+// consecutive points with bit-equal wrapped X and strictly increasing
+// wrapped Y — and reports whether their mean length reaches
+// minMeanRun. It stops counting as soon as the mean cannot.
+func (sc *BatchScratch) findRuns(n int) bool {
+	sc.runs = append(sc.runs[:0], 0)
+	for i := 1; i < n; i++ {
+		if math.Float64bits(sc.wx[i]) != math.Float64bits(sc.wx[i-1]) || !(sc.wy[i] > sc.wy[i-1]) {
+			sc.runs = append(sc.runs, int32(i))
+			if minMeanRun*len(sc.runs) > n {
+				return false
+			}
+		}
+	}
+	sc.runs = append(sc.runs, int32(n))
+	return true
+}
+
+// walkRuns is the run walk for one tier. Each column run is cut into
+// segments spanning at most cells − 2·reach cell rows, so the segment's
+// row walk (its rows widened by reach on both sides) never meets a
+// wrapped row twice. The walk visits those rows in increasing order,
+// and each (row, dx) bucket's candidates are tested only against the
+// segment points whose own row lies within reach of it: every point
+// then meets exactly its point-path (dy, dx) neighbourhood, in the
+// point path's order.
+func (ix *Index) walkRuns(sc *BatchScratch, d *overlay, t *tier) {
+	cells := t.cells
+	reach := int(t.maxR/t.cellSize) + 1
+	all := cells == 1 || 2*reach+1 >= cells
+	maxRows := cells - 2*reach
+	for r := 0; r+1 < len(sc.runs); r++ {
+		lo, hi := int(sc.runs[r]), int(sc.runs[r+1])
+		if all {
+			ix.scanRun(sc, d, t.camIdx, lo, hi)
+			continue
+		}
+		pcx := min(int(sc.wx[lo]/t.cellSize), cells-1)
+		for s := lo; s < hi; {
+			// rowStart[j] is the segment's first point in cell row a+j.
+			a := min(int(sc.wy[s]/t.cellSize), cells-1)
+			sc.rowStart = sc.rowStart[:0]
+			e := s
+			for ; e < hi; e++ {
+				j := min(int(sc.wy[e]/t.cellSize), cells-1) - a
+				if j >= maxRows {
+					break
+				}
+				for len(sc.rowStart) <= j {
+					sc.rowStart = append(sc.rowStart, int32(e))
+				}
+			}
+			rows := len(sc.rowStart)
+			sc.rowStart = append(sc.rowStart, int32(e))
+			for row := a - reach; row < a+rows+reach; row++ {
+				p0 := int(sc.rowStart[max(row-reach-a, 0)])
+				p1 := int(sc.rowStart[min(row+reach+1-a, rows)])
+				if p0 == p1 {
+					continue
+				}
+				base := wrapCell(row, cells) * cells
+				for dx := -reach; dx <= reach; dx++ {
+					b := base + wrapCell(pcx+dx, cells)
+					ix.scanRun(sc, d, t.camIdx[t.starts[b]:t.starts[b+1]], p0, p1)
+				}
+			}
+			s = e
+		}
+	}
+}
+
+// scanRun tests one candidate row against the run points lo..hi-1,
+// which share one wrapped X and have strictly increasing wrapped Y.
+// Each candidate's X offset du is the same computed value for every
+// point, so fl(du²) > r² rejects the candidate exactly. Otherwise the
+// candidate can only cover points whose computed Y offset lies inside
+// the disc chord at du, intersected with the sector's two half-planes
+// when the aperture is below π; both bounds carry slack (runChordSlack,
+// runSectorSlack) and the Y interval is widened by prefilterSlack·side
+// before the search, so every point outside it provably fails covers().
+// The points inside run covers() itself.
+func (ix *Index) scanRun(sc *BatchScratch, d *overlay, cands []int32, lo, hi int) {
+	if len(cands) == 0 {
+		return
+	}
+	x, ys := sc.wx[lo], sc.wy[:hi]
+	g := newRunGuess(ys, lo, hi)
+	side, half := ix.side, ix.half
+	slack := prefilterSlack * side
+	for _, c := range cands {
+		if d != nil && d.isRemoved(c) {
+			continue
+		}
+		du := x - ix.posX[c]
+		if du < -half {
+			du += side
+		} else if du >= half {
+			du -= side
+		}
+		r2 := ix.radius2[c]
+		if du*du > r2 {
+			continue
+		}
+		h := math.Sqrt(r2-du*du+runChordSlack*r2) + slack
+		tLo, tHi := -h, h
+		if ix.halfAper[c] < math.Pi/2 {
+			co, si := ix.cosOrient[c], ix.sinOrient[c]
+			ch, sh := ix.cosHalf[c], ix.sinHalf[c]
+			delta := runSectorSlack * (math.Abs(du) + h)
+			// Edge f+φ/2, direction (ex, ey): covered points satisfy
+			// ex·dy − ey·du ≤ 0.
+			ex, ey := co*ch-si*sh, si*ch+co*sh
+			if v := ey*du + delta; ex > 0 {
+				if b := v / ex; b < tHi {
+					tHi = b
+				}
+			} else if ex < 0 {
+				if b := v / ex; b > tLo {
+					tLo = b
+				}
+			} else if v < 0 {
+				continue
+			}
+			// Edge f−φ/2: covered points satisfy ex·dy − ey·du ≥ 0.
+			ex, ey = co*ch+si*sh, si*ch-co*sh
+			if v := ey*du - delta; ex > 0 {
+				if b := v / ex; b > tLo {
+					tLo = b
+				}
+			} else if ex < 0 {
+				if b := v / ex; b < tHi {
+					tHi = b
+				}
+			} else if v > 0 {
+				continue
+			}
+		}
+		// A computed wrapped difference never leaves [−half, half].
+		if tLo < -half {
+			tLo = -half
+		}
+		if tHi > half {
+			tHi = half
+		}
+		if tLo > tHi {
+			continue
+		}
+		// Test [k0, k1) and then [k2, hi). The Y interval is the torus
+		// arc [yLo, yHi): one middle stretch of the run, or a prefix and
+		// a suffix when it wraps. The widening puts a point at either end
+		// strictly outside [tLo, tHi], so the arc may be half-open. NaN
+		// bounds fall through to the whole run.
+		k0, k1, k2 := lo, hi, hi
+		py := ix.posY[c]
+		if yLo, yHi := py+tLo-slack, py+tHi+slack; yHi-yLo < side {
+			switch {
+			case yLo < 0:
+				k1 = g.find(ys, yHi)
+				k2 = max(g.find(ys, yLo+side), k1)
+			case yHi >= side:
+				k1 = g.find(ys, yHi-side)
+				k2 = max(g.find(ys, yLo), k1)
+			default:
+				k0 = g.find(ys, yLo)
+				k1 = max(g.find(ys, yHi), k0)
+			}
+		}
+		ix.emitRun(sc, c, x, k0, k1)
+		ix.emitRun(sc, c, x, k2, hi)
+	}
+}
+
+// emitRun records each run point k0..k1-1, at wrapped X x, that camera
+// c covers, through the point path's own covers test.
+func (ix *Index) emitRun(sc *BatchScratch, c int32, x float64, k0, k1 int) {
+	for k := k0; k < k1; k++ {
+		if ix.covers(c, x, sc.wy[k]) {
+			sc.hitPt = append(sc.hitPt, int32(k))
+			sc.hitCam = append(sc.hitCam, c)
+			sc.counts[k]++
+		}
+	}
+}
+
+// runGuess locates Y values in the run points lo..hi-1. A search first
+// probes the index that linear interpolation predicts, which is exact
+// on an evenly spaced run such as a grid column, and falls back to
+// binary search otherwise.
+type runGuess struct {
+	lo, hi int
+	y0     float64 // Y of the first point
+	perY   float64 // points per unit of Y
+}
+
+func newRunGuess(ys []float64, lo, hi int) runGuess {
+	g := runGuess{lo: lo, hi: hi, y0: ys[lo]}
+	if hi-lo > 1 {
+		g.perY = float64(hi-1-lo) / (ys[hi-1] - ys[lo])
+	}
+	return g
+}
+
+// find returns the first k in [lo, hi) with ys[k] ≥ v, or hi.
+func (g runGuess) find(ys []float64, v float64) int {
+	// On an evenly spaced run the answer is ⌊f⌋+1 points past lo, or ⌊f⌋
+	// when v sits on a point or rounding moved f past one.
+	k := g.lo
+	if f := (v - g.y0) * g.perY; f > 0 {
+		k = g.hi
+		if f < float64(g.hi-g.lo) {
+			k = g.lo + int(f) + 1
+		}
+	}
+	for stop := max(k-1, g.lo); k >= stop; k-- {
+		if (k == g.lo || ys[k-1] < v) && (k == g.hi || ys[k] >= v) {
+			return k
+		}
+	}
+	lo, hi := g.lo, g.hi
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ys[m] < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // buildOffsets turns the per-point counts into CSR offsets and resets

@@ -134,6 +134,30 @@ func TestBatchMatchesPointPathWideSpan(t *testing.T) {
 			}
 		}
 	}
+	// Dense grids in GridPoints order, cut like a survey: columns of at
+	// least minMeanRun points take the run walk.
+	for _, n := range []int{40, 600} {
+		net := wideSpanNetwork(t, n, 1)
+		ix := NewIndex(net)
+		for _, k := range gridSides {
+			assertGridMatchesPoints(t, "index grid", ix, &sc, net.Torus(), k)
+		}
+	}
+	// Grids whose cameras sit where the run walk's interval is tight:
+	// on grid points with chord ends on grid points, on run columns
+	// (du = 0), on the seam, with sector edges parallel to the runs, and
+	// with radius ≥ side/2 or aperture ≥ π — on the unit torus and on a
+	// wider one.
+	wide, err := geom.NewTorus(7.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, torus := range []geom.Torus{geom.UnitTorus, wide} {
+		for _, k := range gridSides {
+			net := gridEdgeNetwork(t, torus, k, 4)
+			assertGridMatchesPoints(t, "grid edges", NewIndex(net), &sc, torus, k)
+		}
+	}
 }
 
 // TestBatchEdgeCases pins the degenerate batch shapes: empty batch,
@@ -196,6 +220,16 @@ func TestBatchMatchesPointPathMutated(t *testing.T) {
 		}
 		assertBatchMatchesPoints(t, "view-after-mutation", view, &sc, pts)
 	}
+	// Grid input through the live overlay, with overlay-added cameras on
+	// grid points and run columns.
+	if _, err := m.Add(gridEdgeCameras(net.Torus(), 64, r)[:12]); err != nil {
+		t.Fatal(err)
+	}
+	view := m.Snapshot()
+	for _, k := range gridSides {
+		assertGridMatchesPoints(t, "mutable grid", m, &sc, net.Torus(), k)
+		assertGridMatchesPoints(t, "view grid", view, &sc, net.Torus(), k)
+	}
 }
 
 // applyMutationCount applies mut to m and returns the net change in
@@ -238,6 +272,12 @@ func TestBatchZeroAllocSteadyState(t *testing.T) {
 		batchPoints(net, r, 256),
 		batchPoints(net, r, 256),
 	}
+	// Grid cuts take the run walk.
+	for _, k := range []int{13, 64, 183} {
+		cuts := gridCuts(t, net.Torus(), k)
+		batches = append(batches, cuts[0], cuts[len(cuts)-1])
+	}
+	batches = append(batches, padRuns(net.Torus(), seamColumns(net.Torus(), 64)))
 	var sc BatchScratch
 	for _, pts := range batches { // warm-up: grow scratch to high-water mark
 		ix.AppendCoveringBatch(&sc, pts)

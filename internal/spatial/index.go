@@ -10,8 +10,9 @@
 //
 // Cameras are stored twice: as the original structs (for accessors) and
 // as structure-of-arrays columns (positions, orientation sin/cos,
-// squared radius, half-aperture and its cosine) so the per-candidate
-// cover test is a branch-light scan over flat float64 slices.
+// squared radius, half-aperture and its cosine and sine) so the
+// per-candidate cover test is a branch-light scan over flat float64
+// slices.
 //
 // Cameras are partitioned into radius tiers (each tier spans at most a
 // 2× radius ratio) and each tier gets its own bucket grid in compressed
@@ -63,6 +64,7 @@ type Index struct {
 	cosOrient  []float64
 	sinOrient  []float64
 	cosHalf    []float64 // cos(Aperture/2)
+	sinHalf    []float64 // sin(Aperture/2)
 
 	tiers []tier
 }
@@ -97,6 +99,7 @@ func NewIndex(net *sensor.Network) *Index {
 		cosOrient: make([]float64, n),
 		sinOrient: make([]float64, n),
 		cosHalf:   make([]float64, n),
+		sinHalf:   make([]float64, n),
 	}
 	for i, c := range cameras {
 		ix.posX[i] = c.Pos.X
@@ -108,6 +111,7 @@ func NewIndex(net *sensor.Network) *Index {
 		ix.sinOrient[i] = sin
 		ix.cosOrient[i] = cos
 		ix.cosHalf[i] = math.Cos(c.Aperture / 2)
+		ix.sinHalf[i] = math.Sin(c.Aperture / 2)
 	}
 	ix.buildTiers()
 	return ix
