@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzAngularDistance -fuzztime=15s ./internal/geom/
 	$(GO) test -run=NONE -fuzz=FuzzSectorContains -fuzztime=15s ./internal/geom/
 	$(GO) test -run=NONE -fuzz=FuzzMinArcCoverageDepth -fuzztime=15s ./internal/geom/
+	$(GO) test -run=NONE -fuzz=FuzzGapAtMost -fuzztime=15s ./internal/geom/
 	$(GO) test -run=NONE -fuzz=FuzzParseProfile -fuzztime=15s ./internal/sensor/
 	$(GO) test -run=NONE -fuzz=FuzzCameraCovers -fuzztime=15s ./internal/sensor/
 	$(GO) test -run=NONE -fuzz=FuzzGridGather -fuzztime=15s ./internal/spatial/

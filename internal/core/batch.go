@@ -8,29 +8,29 @@ import (
 // cell-sorted batch gather and folds the reports into RegionStats. The
 // per-point verdicts are bit-identical to a Report loop — the batch
 // gather returns each point's viewed directions in exactly the order
-// the point-at-a-time gather would, and the occupancy/gap evaluation
-// below is the same code path over each point's CSR sub-slice — but the
-// spatial work is amortised: each occupied grid cell's candidate
-// neighbourhood is walked once per batch instead of once per point, and
-// the per-θ 2θ threshold is hoisted out of the loop. Like Report,
-// SurveyBatch reuses internal scratch and must not be called
-// concurrently on one Checker.
+// the point-at-a-time gather would, the occupancy evaluation below is
+// the same code path over each point's CSR sub-slice, and the full-view
+// decision is geom.MaxGapAtMost, which answers Report's gap ≤ 2θ test
+// bit for bit without sorting (RegionStats never reads the gap value
+// itself) — but the spatial work is amortised: each occupied grid
+// cell's candidate neighbourhood is walked once per batch instead of
+// once per point, and the per-θ 2θ threshold is hoisted out of the
+// loop. Like Report, SurveyBatch reuses internal scratch and must not
+// be called concurrently on one Checker.
 func (c *Checker) SurveyBatch(points []geom.Vec) RegionStats {
 	dirs, offs := c.index.AppendViewedDirectionsBatch(&c.batch, points)
 	var stats RegionStats
 	twoTheta := 2 * c.theta
 	for i := range points {
 		sub := dirs[offs[i]:offs[i+1]]
-		// Occupancy first: it reads the raw directions, while the in-place
-		// gap computation normalizes and sorts the sub-slice (sub-slices
-		// are disjoint, so sorting one never disturbs another point's).
+		// Occupancy first: it reads the raw directions, while the
+		// full-view decision normalizes the sub-slice in place
+		// (sub-slices are disjoint, so one never disturbs another's).
 		necessary := c.necessary.allOccupied(sub)
 		sufficient := c.sufficient.allOccupied(sub)
-		gap, _ := geom.MaxCircularGapInPlace(sub)
 		stats.observe(PointReport{
 			NumCovering: len(sub),
-			MaxGap:      gap,
-			FullView:    len(sub) > 0 && gap <= twoTheta,
+			FullView:    geom.MaxGapAtMost(sub, twoTheta, &c.gaps),
 			Necessary:   necessary,
 			Sufficient:  sufficient,
 		})

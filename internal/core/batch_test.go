@@ -70,6 +70,46 @@ func TestSurveyBatchMatchesReportLoop(t *testing.T) {
 			}
 		}
 	}
+	// θ either side of the bucket-count cap of the sort-free full-view
+	// decision (geom.MaxGapAtMost, π/32), and θ = π, on a network dense
+	// enough that small θ still sees full-view points; then points seen
+	// by a single camera, where θ = π alone makes them full-view.
+	homog, err := sensor.Homogeneous(0.15, math.Pi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := deploy.Uniform(geom.UnitTorus, homog, 6000, rng.New(5, 21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, err := deploy.Uniform(geom.UnitTorus, homog, 6, rng.New(6, 21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	thetas := []float64{math.Pi / 40, math.Nextafter(math.Pi/32, 0), math.Pi / 32,
+		math.Nextafter(math.Pi/32, 4), math.Pi / 31, math.Pi / 4, math.Nextafter(math.Pi, 0), math.Pi}
+	for _, net := range []*sensor.Network{dense, sparse} {
+		pts, err := deploy.GridPoints(net.Torus(), 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if net == sparse {
+			pts = append(pts, equivPoints(net, rng.New(7, 21), 300)...)
+		}
+		for _, theta := range thetas {
+			checker, err := NewChecker(net, theta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want RegionStats
+			for _, p := range pts {
+				want.observe(checker.Report(p))
+			}
+			if got := checker.SurveyBatch(pts); got != want {
+				t.Fatalf("%d cameras θ=%v: SurveyBatch = %+v, want %+v", net.Len(), theta, got, want)
+			}
+		}
+	}
 }
 
 // TestEvaluateBatchMatchesEvaluate pins every per-point multi-θ report

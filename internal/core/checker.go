@@ -30,6 +30,7 @@ type Checker struct {
 	sufficient occupancy // anchored θ partition
 	dirBuf     []float64
 	batch      spatial.BatchScratch // SurveyBatch gather scratch
+	gaps       geom.GapScratch      // full-view decision scratch
 }
 
 // NewChecker builds a Checker for the network with effective angle
@@ -106,12 +107,7 @@ func (c *Checker) viewedDirections(p geom.Vec) []float64 {
 // camera S with ∠(d⃗, PS) ≤ θ. Equivalently, the maximum circular gap
 // between the viewed directions of the covering cameras is at most 2θ.
 func (c *Checker) FullViewCovered(p geom.Vec) bool {
-	dirs := c.viewedDirections(p)
-	if len(dirs) == 0 {
-		return false
-	}
-	gap, _ := geom.MaxCircularGapInPlace(dirs)
-	return gap <= 2*c.theta
+	return geom.MaxGapAtMost(c.viewedDirections(p), 2*c.theta, &c.gaps)
 }
 
 // UnsafeDirection returns a facing direction witnessing that p is not

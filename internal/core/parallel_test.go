@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"fullview/internal/deploy"
@@ -87,6 +88,45 @@ func TestCheckerCloneIsIndependent(t *testing.T) {
 			t.Fatalf("clone disagrees with original at %v", p)
 		}
 	}
+}
+
+// TestCheckerClonesShareNoScratch runs two clones of one Checker at
+// once through every entry point that writes checker scratch: the batch
+// gather, the occupancy masks and the full-view decision's buckets.
+// Under -race a shared buffer is a reported race; without it, sharing
+// shows as answers that differ from the original's sequential ones.
+func TestCheckerClonesShareNoScratch(t *testing.T) {
+	c := denseRandomChecker(t, 300, math.Pi/4, 4)
+	points, err := deploy.GridPoints(geom.UnitTorus, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := c.SurveyBatch(points)
+	wantFull := make([]bool, len(points))
+	for i, p := range points {
+		wantFull[i] = c.FullViewCovered(p)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		clone := c.Clone()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 10; round++ {
+				if got := clone.SurveyBatch(points); got != want {
+					t.Errorf("clone %d round %d: SurveyBatch = %+v, want %+v", w, round, got, want)
+					return
+				}
+				for i, p := range points {
+					if clone.FullViewCovered(p) != wantFull[i] {
+						t.Errorf("clone %d round %d: FullViewCovered(%v) = %v, want %v", w, round, p, !wantFull[i], wantFull[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSurveyRegionParallelEmpty(t *testing.T) {

@@ -1,6 +1,8 @@
 package geom
 
 import (
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -17,7 +19,8 @@ import (
 //
 // For an empty input the gap is the whole circle (2π) with bisector 0.
 // For a single direction a the gap is 2π with bisector opposite a.
-// The input slice is not modified.
+// The input slice is not modified. A caller that needs only the verdict
+// gap ≤ 2θ should use MaxGapAtMost, which decides it without sorting.
 func MaxCircularGap(angles []float64) (gap, bisector float64) {
 	switch len(angles) {
 	case 0:
@@ -38,7 +41,8 @@ func MaxCircularGap(angles []float64) (gap, bisector float64) {
 // the right primitive for per-point hot loops that own a reusable
 // direction buffer. Results are bit-identical to MaxCircularGap for
 // finite inputs; angles must not contain NaN or ±Inf (unlike
-// MaxCircularGap, whose sort tolerates them).
+// MaxCircularGap, whose sort tolerates them). Callers that only compare
+// the gap against a limit should use MaxGapAtMost, which skips the sort.
 func MaxCircularGapInPlace(angles []float64) (gap, bisector float64) {
 	switch len(angles) {
 	case 0:
@@ -46,29 +50,103 @@ func MaxCircularGapInPlace(angles []float64) (gap, bisector float64) {
 	case 1:
 		return TwoPi, NormalizeAngle(angles[0] + TwoPi/2)
 	}
+	normalizeDirs(angles)
+	slices.Sort(angles)
+	return gapScanSorted(angles)
+}
+
+// normalizeDirs normalizes directions in place to [0, 2π). It is the
+// one normalization of the in-place gap primitives, so MaxGapAtMost
+// buckets exactly the values MaxCircularGapInPlace sorts. On (−2π, 2π)
+// math.Mod is the identity, so adding 2π to negative directions matches
+// NormalizeAngle bit for bit, except that −0 becomes +0 (no gap differs
+// by the sign of a zero). The add is keyed on the sign bit rather than
+// a branch: atan2 outputs are negative about half the time, and the
+// mispredicted branch cost about a quarter of MaxGapAtMost's time on
+// random directions.
+func normalizeDirs(angles []float64) {
 	for i, a := range angles {
-		// The common case — atan2 output in (−π, π] — normalizes with one
-		// branch and one add; math.Mod is the identity on (−2π, 2π), so
-		// this matches NormalizeAngle bit for bit.
-		if a >= 0 {
-			if a < TwoPi {
-				continue
-			}
+		if !(a > -TwoPi && a < TwoPi) {
 			angles[i] = NormalizeAngle(a)
 			continue
 		}
-		if a > -TwoPi {
-			a += TwoPi
-			if a >= TwoPi { // −ε + 2π can round up to exactly 2π
-				a -= TwoPi
-			}
-			angles[i] = a
-			continue
+		a += TwoPi * float64(math.Float64bits(a)>>63)
+		if a >= TwoPi { // −ε + 2π can round up to exactly 2π
+			a -= TwoPi
 		}
-		angles[i] = NormalizeAngle(a)
+		angles[i] = a
 	}
-	slices.Sort(angles)
-	return gapScanSorted(angles)
+}
+
+// gapBuckets caps the lattice of MaxGapAtMost at one occupancy word:
+// 4π/limit < 64 buckets, i.e. limits above π/16 (θ = limit/2 above
+// π/32). Smaller limits fall back to the sort.
+const gapBuckets = 64
+
+// GapScratch is MaxGapAtMost's per-bucket extreme storage. Its contents
+// never carry over between calls; a caller owns one per goroutine.
+type GapScratch struct {
+	lo, hi [gapBuckets]float64
+}
+
+// MaxGapAtMost reports len(angles) > 0 && gap ≤ limit, where gap is
+// MaxCircularGapInPlace(angles)'s widest gap, bit for bit, without
+// sorting.
+//
+// The directions are bucketed on a lattice of width w = limit/2 by
+// j = ⌊a·(1/w)⌋ and each bucket keeps its smallest and largest member.
+// j is monotone in a, so consecutive non-empty buckets meet at a pair
+// of sorted neighbours, and their gap lo[j] − hi[prev] — like the wrap
+// gap lo[first] + 2π − hi[last] — is the very subtraction the sorted
+// scan performs. Two directions in one bucket differ by at most
+// w·(1 + O(64ε)) < limit, so no gap inside a bucket can decide the
+// answer. A single direction answers 2π ≤ limit, as the scan does.
+//
+// Like MaxCircularGapInPlace, it normalizes angles in place and they
+// must not contain NaN or ±Inf. Limits too small for gapBuckets buckets
+// (and non-positive or NaN limits) take MaxCircularGapInPlace itself,
+// which also reorders them.
+func MaxGapAtMost(angles []float64, limit float64, s *GapScratch) bool {
+	switch len(angles) {
+	case 0:
+		return false
+	case 1:
+		return TwoPi <= limit
+	}
+	inv := 2 / limit
+	if !(limit > 0) || !(TwoPi*inv < gapBuckets) {
+		gap, _ := MaxCircularGapInPlace(angles)
+		return gap <= limit
+	}
+	// a ∈ [0, 2π) (or −0) gives a·inv ≤ 2π·inv < gapBuckets, so every
+	// index fits one occupancy word. Clearing the lattice's buckets up
+	// front keeps the loop free of data-dependent branches.
+	nb := int(TwoPi*inv) + 1
+	lo, hi := s.lo[:nb], s.hi[:nb]
+	for j := range lo {
+		lo[j] = math.Inf(1)
+	}
+	for j := range hi {
+		hi[j] = math.Inf(-1)
+	}
+	var occ uint64
+	normalizeDirs(angles)
+	for _, a := range angles {
+		j := int(a*inv) & (gapBuckets - 1)
+		occ |= 1 << j
+		s.lo[j] = min(s.lo[j], a)
+		s.hi[j] = max(s.hi[j], a)
+	}
+	first := bits.TrailingZeros64(occ)
+	prevHi := s.hi[first]
+	for rest := occ & (occ - 1); rest != 0; rest &= rest - 1 {
+		j := bits.TrailingZeros64(rest)
+		if s.lo[j]-prevHi > limit {
+			return false
+		}
+		prevHi = s.hi[j]
+	}
+	return s.lo[first]+TwoPi-prevHi <= limit
 }
 
 // gapScanSorted finds the widest gap of at least two normalized, sorted

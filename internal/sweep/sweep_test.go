@@ -146,15 +146,17 @@ func TestRunCancellationStopsPromptly(t *testing.T) {
 	points := testPoints(n)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var processed atomic.Int64
+	var processed, atCancel atomic.Int64
 	for _, workers := range []int{1, 4} {
 		processed.Store(0)
+		atCancel.Store(0)
 		_, err := Run(ctx, points, workers, noState,
 			func(_ struct{}, acc int, _ int, _ geom.Vec) int {
 				// Cancel from inside the sweep once a little work is done:
 				// workers must notice at their next periodic check.
 				if processed.Add(1) == 100 {
 					cancel()
+					atCancel.Store(processed.Load())
 				}
 				return acc + 1
 			},
@@ -162,9 +164,12 @@ func TestRunCancellationStopsPromptly(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: error = %v, want context.Canceled", workers, err)
 		}
-		// Every worker may run to its next check interval, no further.
-		if got := processed.Load(); got > int64(workers*cancelCheckInterval+100) {
-			t.Errorf("workers=%d: processed %d points after cancellation", workers, got)
+		// Counted from when cancel() returned, every worker may run to
+		// its next check interval, no further. Counting from the 100th
+		// point instead would also charge the sweep for however long
+		// the scheduler kept the cancelling worker from calling cancel.
+		if excess := processed.Load() - atCancel.Load(); excess > int64(workers*cancelCheckInterval) {
+			t.Errorf("workers=%d: processed %d points after cancellation", workers, excess)
 		}
 		ctx, cancel = context.WithCancel(context.Background())
 		defer cancel()
